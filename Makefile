@@ -67,12 +67,15 @@ rebalance:
 
 ## transfer: vet + race-test the cross-device model-transfer subsystem —
 ## the transfer package itself, the diff-transfer differential battery in
-## internal/verify, and the service/CLI wiring (-count=1: the concurrent
-## cold-start-storm test asserts one transfer flight per key under live
-## scheduling, which a cached pass would not exercise)
+## internal/verify, the service/CLI wiring, and the model store's donor
+## index (-count=1: the concurrent cold-start-storm test asserts one
+## transfer flight per key under live scheduling, and the index tests race
+## DonorPool/Stats against writers and deletes; a cached pass would
+## exercise neither)
 transfer:
-	$(GO) vet ./internal/transfer
+	$(GO) vet ./internal/transfer ./internal/service/modelstore
 	$(GO) test -race -count=1 ./internal/transfer
+	$(GO) test -race -count=1 -run 'DonorPool|Index|Stats' ./internal/service/modelstore
 	$(GO) test -race -count=1 -run 'Transfer|DiffTransfer' ./internal/verify ./internal/service ./cmd/fupermod-serve ./cmd/fupermod-bench
 
 ## matpart: vet + race-test the 2D matrix-partitioning layer end to end —

@@ -49,6 +49,7 @@ func PerfSuite() []PerfBenchmark {
 		{Name: "modelstore/decode-ref", F: benchStoreDecode(modelstore.DecodeRef)},
 		{Name: "modelstore/load", F: benchStoreLoad((*modelstore.Store).Load)},
 		{Name: "modelstore/load-ref", F: benchStoreLoad((*modelstore.Store).LoadRef)},
+		{Name: "modelstore/donor-pool", F: benchStoreDonorPool},
 		{Name: "transfer/acquire", F: benchTransferAcquire},
 		{Name: "transfer/similar", F: benchTransferSimilar},
 		{Name: "matpart/oracle-dp", F: benchMatpartOracle},
@@ -409,6 +410,58 @@ func benchStoreLoad(load func(*modelstore.Store) ([]modelstore.Entry, []modelsto
 			if len(entries) != 12 || len(corrupt) != 0 {
 				b.Fatalf("load: %d entries, %d corrupt", len(entries), len(corrupt))
 			}
+		}
+	}
+}
+
+// benchStoreDonorPool tracks the transfer fill's donor search on a
+// 1000-entry store with a warm index: each op first spills one fresh sweep
+// (untimed, overwriting the entries in turn, as a serving store takes one
+// spill per fill), then times DonorPool — the directory listing, one stat
+// per file, and the decode of whatever changed.
+func benchStoreDonorPool(b *testing.B) {
+	const entries = 1000
+	dir, err := os.MkdirTemp("", "fupermod-perf-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := modelstore.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prec := modelstore.EncodePrecision(core.Precision{
+		MinReps: 3, MaxReps: 8, Confidence: 0.95, RelErr: 0.05,
+	})
+	keys := make([]modelstore.Key, entries)
+	curves := transferDonorPool(transferProcs(entries))
+	for i := range keys {
+		keys[i] = modelstore.Key{
+			Tenant: fmt.Sprintf("tenant-%d", i%8), Device: fmt.Sprintf("dev-%d", i), Seed: 1, Noise: 0.02,
+			Lo: 16, Hi: 60000, N: 40, Prec: prec,
+		}
+		if err := st.Put(keys[i], "gemm-b128", curves[i].Points); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cold := modelstore.Key{Tenant: "cold", Device: "new", Seed: 1, Lo: 16, Hi: 60000, N: 40, Prec: prec}
+	if _, err := st.DonorPool(cold); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		j := i % entries
+		if err := st.Put(keys[j], "gemm-b128", curves[(j+i/entries+1)%entries].Points); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		donors, err := st.DonorPool(cold)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(donors) != entries {
+			b.Fatalf("donor pool: %d donors, want %d", len(donors), entries)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package modelstore
 import (
 	"fmt"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"fupermod/internal/core"
@@ -27,24 +25,26 @@ func DonorID(k Key) string {
 		k.Seed, fmtG(k.Noise), k.Lo, k.Hi, k.N)
 }
 
-// DonorPool loads every entry eligible to donate its curve to the given
+// DonorPool returns every entry eligible to donate its curve to the given
 // key: intact, at least two points (a single point has no shape), not the
 // key itself, and not itself transferred — warm-starting from a
 // warm-start would compound the approximation bounds silently, so
 // transfer provenance disqualifies an entry as a donor. Corrupt files are
 // skipped (the fill path heals them); the pool is sorted by DonorID so
 // two replicas scanning the same directory rank identically.
+//
+// The pool comes from the store's index (index.go), revalidated against
+// the directory on every call, so it is exactly the pool a fresh Load
+// would yield. The returned slice is the caller's, but every donor's
+// Points are shared with the index and with every other caller: they are
+// read-only, and a caller that needs to modify a curve must copy it.
 func (s *Store) DonorPool(exclude Key) ([]transfer.Donor, error) {
-	entries, _, err := s.Load()
-	if err != nil {
-		return nil, err
-	}
-	donors := make([]transfer.Donor, 0, len(entries))
-	for _, e := range entries {
-		if e.Key == exclude || e.Transfer != "" || len(e.Points) < 2 {
-			continue
+	recs := s.refresh()
+	donors := make([]transfer.Donor, 0, len(recs))
+	for _, r := range recs {
+		if r.eligible && r.key != exclude {
+			donors = append(donors, r.donor)
 		}
-		donors = append(donors, transfer.Donor{ID: DonorID(e.Key), Points: e.Points})
 	}
 	sort.Slice(donors, func(i, j int) bool { return donors[i].ID < donors[j].ID })
 	return donors, nil
@@ -91,37 +91,27 @@ func (s *StoreStats) Add(o StoreStats) {
 	}
 }
 
-// Stats walks the store directory and reports its census. It reads every
-// entry (the store has no in-memory index — the directory is the index),
-// so it is a stats-endpoint operation, not a hot-path one.
+// Stats reports the store directory's census. It reuses DonorPool's index
+// scan, so it lists and stats every file but decodes only new or changed
+// ones.
 func (s *Store) Stats() (StoreStats, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.points"))
-	if err != nil {
-		return StoreStats{}, fmt.Errorf("modelstore: %w", err)
-	}
 	st := StoreStats{}
-	for _, path := range names {
-		if fi, err := os.Stat(path); err == nil {
-			st.Bytes += fi.Size()
+	for _, r := range s.refresh() {
+		if r.fi != nil {
+			st.Bytes += r.fi.Size()
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			st.CorruptFiles++
-			continue
-		}
-		e, err := Decode(path, data)
-		if err != nil {
+		if r.readErr || r.corrupt {
 			st.CorruptFiles++
 			continue
 		}
 		st.Entries++
-		if e.Transfer != "" {
+		if r.transferred {
 			st.Transferred++
 		}
 		if st.Tenants == nil {
 			st.Tenants = make(map[string]int64)
 		}
-		st.Tenants[e.Key.Tenant]++
+		st.Tenants[r.key.Tenant]++
 	}
 	return st, nil
 }

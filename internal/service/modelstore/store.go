@@ -197,10 +197,17 @@ type Corrupt struct {
 // Store is a directory of spilled sweeps. It is safe for concurrent use;
 // writes to the same key serialise on an internal lock, and the atomic
 // rename makes concurrent readers see either the old or the new complete
-// file, never a mixture.
+// file, never a mixture. DonorPool and Stats answer from an in-memory
+// index of the directory that every call revalidates (index.go); Get and
+// Load always read the disk.
 type Store struct {
 	dir string
 	mu  sync.Mutex
+
+	// idxMu guards index, the in-memory index of the directory behind
+	// DonorPool and Stats (index.go), keyed by file name.
+	idxMu sync.Mutex
+	index map[string]*record
 
 	// flightMu guards flights, the in-progress Fill calls keyed by Key.id()
 	// (see fill.go). Because Open returns one shared handle per directory,

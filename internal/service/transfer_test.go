@@ -2,10 +2,16 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"fupermod/internal/core"
+	"fupermod/internal/service/modelstore"
 )
 
 // transferGrid is large enough that the default probe budget (a quarter of
@@ -214,6 +220,86 @@ func TestTransferColdStartStormSingleFlight(t *testing.T) {
 		t.Fatalf("storm must transfer exactly once across the fleet, got %d", runs)
 	}
 	_, _ = svcA, svcB
+}
+
+func TestTransferStormLeavesDonorPointsUnchanged(t *testing.T) {
+	// The store's index hands every fill the same donor Points slices.
+	// A storm of concurrent transfer fills must leave them exactly as the
+	// index decoded them: same backing arrays, same bits, same as disk.
+	dir := t.TempDir()
+	for i, preset := range []string{"fast", "slow", "gpu"} {
+		seedDonor(t, dir, MeasureRequest{Tenant: "warm", Device: DeviceSpec{Preset: preset, Seed: int64(i + 1)}, Grid: transferGrid})
+	}
+	// Age the donor files so the index trusts their stamps and keeps
+	// serving the decoded curves it holds now.
+	names, err := filepath.Glob(filepath.Join(dir, "*.points"))
+	if err != nil || len(names) != 3 {
+		t.Fatalf("seeded store: %v %v", names, err)
+	}
+	old := time.Now().Add(-time.Hour)
+	for _, name := range names {
+		if err := os.Chtimes(name, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, Config{StoreDir: dir, Transfer: true})
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.DonorPool(modelstore.Key{})
+	if err != nil || len(before) != 3 {
+		t.Fatalf("donor pool: %d donors, err %v", len(before), err)
+	}
+	want := make([][]core.Point, len(before))
+	for i, d := range before {
+		want[i] = append([]core.Point(nil), d.Points...)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		for _, preset := range []string{"fast", "slow"} {
+			wg.Add(1)
+			go func(tenant, preset string) {
+				defer wg.Done()
+				req := MeasureRequest{Tenant: tenant, Device: DeviceSpec{Preset: preset, Seed: 9}, Grid: transferGrid}
+				if status, body := postJSON(t, ts.URL+"/v1/measure", req); status != 200 {
+					t.Errorf("storm request: status %d: %s", status, body)
+				}
+			}(fmt.Sprintf("cold-%d", i), preset)
+		}
+	}
+	wg.Wait()
+	if snap := getStats(t, ts.URL); snap.TransferRuns == 0 {
+		t.Fatalf("the storm should transfer: runs=%d fallbacks=%d", snap.TransferRuns, snap.TransferFallbacks)
+	}
+
+	after, err := store.DonorPool(modelstore.Key{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string][]core.Point, len(after))
+	for _, d := range after {
+		byID[d.ID] = d.Points
+	}
+	for i, d := range before {
+		got := byID[d.ID]
+		if len(got) == 0 || &got[0] != &d.Points[0] {
+			t.Fatalf("donor %s: the index should still share the curve it decoded before the storm", d.ID)
+		}
+		if !reflect.DeepEqual(d.Points, want[i]) {
+			t.Fatalf("donor %s: points modified by the storm", d.ID)
+		}
+	}
+	entries, _, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if d, ok := byID[modelstore.DonorID(e.Key)]; ok && !reflect.DeepEqual(d, e.Points) {
+			t.Fatalf("donor %s: index curve differs from disk", modelstore.DonorID(e.Key))
+		}
+	}
 }
 
 func TestNewRejectsTransferWithoutStore(t *testing.T) {

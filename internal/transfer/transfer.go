@@ -167,6 +167,24 @@ type Donor struct {
 	ID string
 	// Points is the donor's full stored sweep.
 	Points []core.Point
+
+	// fp caches the fingerprint of Points when the donor was built by
+	// NewDonor; nil (a literal Donor) makes Rank compute it per call.
+	fp *Fingerprint
+}
+
+// NewDonor builds a donor with its fingerprint computed once, for donor
+// pools that outlive one ranking (the model store's index). Rank over such
+// donors is bitwise identical to Rank over literal ones: the cached value
+// is the same FingerprintPoints result. A curve that cannot be
+// fingerprinted caches nothing, and Rank drops it as before. pts must not
+// be modified afterwards.
+func NewDonor(id string, pts []core.Point) Donor {
+	d := Donor{ID: id, Points: pts}
+	if fp, err := FingerprintPoints(pts); err == nil {
+		d.fp = &fp
+	}
+	return d
 }
 
 // Candidate is a donor ranked against a probe set.
@@ -184,9 +202,14 @@ func Rank(donors []Donor, probes []core.Point, max int) []Candidate {
 	pfp, perr := FingerprintPoints(probes)
 	out := make([]Candidate, 0, len(donors))
 	for _, d := range donors {
-		dfp, err := FingerprintPoints(d.Points)
-		if err != nil {
-			continue
+		var dfp Fingerprint
+		if d.fp != nil {
+			dfp = *d.fp
+		} else {
+			var err error
+			if dfp, err = FingerprintPoints(d.Points); err != nil {
+				continue
+			}
 		}
 		dist := 0.0
 		if perr == nil {
