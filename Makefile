@@ -25,8 +25,10 @@ build:
 test:
 	$(GO) test ./...
 
+## vet: go vet plus a gofmt drift check (fails if gofmt -l lists a file)
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 race:
 	$(GO) test -race ./...

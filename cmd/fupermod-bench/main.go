@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 		minReps    = fs.Int("min-reps", 3, "minimum repetitions per point")
 		maxReps    = fs.Int("max-reps", 15, "maximum repetitions per point")
 		relErr     = fs.Float64("rel-err", 0.03, "target relative confidence-interval half-width")
-		workers    = fs.Int("workers", 0, "concurrent size-point measurements (0 = GOMAXPROCS); use 1 for real kernels so measurements do not contend")
+		workers    = fs.Int("workers", 0, "concurrent size-point measurements (0 = GOMAXPROCS); use 1 for real kernels so measurements do not contend; noisy virtual sweeps always run serially")
 		helpDev    = fs.Bool("help-devices", false, "list device presets and exit")
 		machine    = fs.String("machine", "", "benchmark every device of this machine file (group-synchronized per node)")
 		outDir     = fs.String("outdir", "points", "output directory for -machine mode")
@@ -154,6 +154,7 @@ func run(args []string, stdout io.Writer) error {
 		err      error
 		mkKernel func() (core.Kernel, error) // fresh virtual kernel per call
 	)
+	sweepWorkers := *workers
 	switch *kernelKind {
 	case "virtual":
 		dev, perr := platform.Preset(*device)
@@ -163,6 +164,13 @@ func run(args []string, stdout io.Writer) error {
 		cfg := platform.Quiet
 		if *noise > 0 {
 			cfg = platform.NoiseConfig{Rel: *noise, OutlierP: 0.02, OutlierScale: 0.5}
+			// The meter draws perturbations in measurement order, so a
+			// parallel sweep would hand each size a scheduling-dependent
+			// sample. Sweeping serially keeps the points a pure function
+			// of the store key, equal to the serial sweep fupermod-serve
+			// fills the same key with. Virtual kernels do not run, so
+			// nothing is lost by it.
+			sweepWorkers = 1
 		}
 		// Each kernel gets its own meter: the noise meter draws
 		// perturbations in measurement order, so transfer probes run on a
@@ -255,7 +263,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if !fromStore && !transferred {
-		if pts, err = core.SweepParallel(k, sizes, prec, *workers); err != nil {
+		if pts, err = core.SweepParallel(k, sizes, prec, sweepWorkers); err != nil {
 			return err
 		}
 		if store != nil {

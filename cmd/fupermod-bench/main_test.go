@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"fupermod/internal/core"
+	"fupermod/internal/kernels"
 	"fupermod/internal/model"
+	"fupermod/internal/platform"
 	"fupermod/internal/service/modelstore"
 )
 
@@ -306,5 +308,48 @@ func TestRunWorkersDeterministic(t *testing.T) {
 		if got := sweep(w); got != serial {
 			t.Errorf("workers=%s output differs from serial:\n%s\nvs\n%s", w, got, serial)
 		}
+	}
+}
+
+// TestRunNoisyWorkersDeterministic: a noisy virtual sweep is a pure
+// function of its flags at any -workers, and equals a serial core.Sweep on
+// a freshly seeded meter — the points fupermod-serve stores under the key.
+func TestRunNoisyWorkersDeterministic(t *testing.T) {
+	sweep := func(workers string) []byte {
+		var buf bytes.Buffer
+		err := run([]string{"-kernel", "virtual", "-device", "fast",
+			"-lo", "16", "-hi", "60000", "-n", "40", "-noise", "0.05", "-seed", "7",
+			"-min-reps", "1", "-max-reps", "1", "-workers", workers}, &buf)
+		if err != nil {
+			t.Fatalf("workers=%s: %v", workers, err)
+		}
+		return buf.Bytes()
+	}
+	serial := sweep("1")
+	for _, w := range []string{"2", "8", "0", "0"} {
+		if got := sweep(w); !bytes.Equal(got, serial) {
+			t.Errorf("workers=%s noisy output differs from serial:\n%s\nvs\n%s", w, got, serial)
+		}
+	}
+	dev, err := platform.Preset("fast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernels.NewVirtual("gemm-b128",
+		platform.NewMeter(dev, platform.NoiseConfig{Rel: 0.05, OutlierP: 0.02, OutlierScale: 0.5}, 7), 2*128*128*128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := core.Sweep(k, core.LogSizes(16, 60000, 40),
+		core.Precision{MinReps: 1, MaxReps: 1, Confidence: 0.95, RelErr: 0.03, MaxSeconds: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := model.WritePoints(&want, model.PointFile{Kernel: k.Name(), Device: dev.Name(), Points: pts}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial, want.Bytes()) {
+		t.Errorf("noisy CLI sweep differs from a serial core.Sweep:\n%s\nvs\n%s", serial, want.String())
 	}
 }

@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		workers         = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for sweeps, fits and solves")
 		cacheSize       = fs.Int("cache-size", service.DefaultCacheSize, "fitted models kept per tenant (LRU)")
 		shards          = fs.Int("shards", 1, "in-process shards tenants are spread over (consistent hashing)")
-		batchWindow     = fs.Duration("batch-window", service.DefaultBatchWindow, "window for batching identical partition requests")
+		batchWindow     = fs.Duration("batch-window", service.DefaultBatchWindow, "window for batching identical partition, dynpart, balance, rebalance and matpart requests")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT")
 		storeDir        = fs.String("store-dir", "", "directory of the on-disk model store (empty disables persistence)")
 		quotaSlots      = fs.Int("quota-slots", 0, "in-flight sweep slots per quota weight unit (0 disables admission control)")

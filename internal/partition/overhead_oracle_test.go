@@ -19,7 +19,7 @@ func TestWithOverheadMatchesCommInclusiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 8; trial++ {
 		n := 2 + rng.Intn(3)
-		procs := verify.NewGen(int64(100 + trial)).Platform(n, verify.MonotoneShapes()...)
+		procs := verify.NewGen(int64(100+trial)).Platform(n, verify.MonotoneShapes()...)
 		models := verify.ExactModels(procs)
 		overheads := make([]func(d float64) float64, n)
 		for i := range overheads {

@@ -51,6 +51,7 @@ type shard struct {
 	batchMu sync.Mutex
 	batches map[string]*batchCall
 	window  adaptiveWindow
+	gate    joinGate // guarded by batchMu
 
 	commMu sync.Mutex
 	comms  map[string]*commEntry

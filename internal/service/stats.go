@@ -35,8 +35,8 @@ type shardStats struct {
 	transferFallbacks atomic.Int64 // transfer attempts that fell back to a full sweep
 
 	batchSolves      atomic.Int64 // solver calls made on behalf of a batch
-	batchJoined      atomic.Int64 // partition requests that joined an existing batch
-	batchWindowSkips atomic.Int64 // requests that skipped the window (idle traffic)
+	batchJoined      atomic.Int64 // batched requests that joined an existing batch
+	batchWindowSkips atomic.Int64 // batch leaders that skipped the window (idle traffic or closed join gate)
 
 	commCalibrations atomic.Int64 // comm-model calibrations actually executed
 
@@ -174,8 +174,9 @@ type ShardCounters struct {
 
 	// BatchSolves counts solver calls, BatchJoined the requests that were
 	// answered by a run another request triggered, and BatchWindowSkips
-	// the requests the adaptive controller exempted from waiting because
-	// traffic was idle.
+	// the batch leaders that did not wait the window: the adaptive
+	// controller found traffic idle, or the join gate had seen nobody
+	// joining.
 	BatchSolves      int64 `json:"batch_solves"`
 	BatchJoined      int64 `json:"batch_joined"`
 	BatchWindowSkips int64 `json:"batch_window_skips"`
