@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/config
 	$(GO) test -run='^$$' -fuzz='^FuzzPartition$$' -fuzztime=$(FUZZTIME) ./internal/partition
 	$(GO) test -race -run='^$$' -fuzz='^FuzzCacheStore$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzHandler$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzMatpartTiling$$' -fuzztime=$(FUZZTIME) ./internal/matpart
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMatchesRef$$' -fuzztime=$(FUZZTIME) ./internal/service/modelstore
 	$(GO) test -run='^$$' -fuzz='^FuzzRing$$' -fuzztime=$(FUZZTIME) ./internal/service/ring

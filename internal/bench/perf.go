@@ -14,7 +14,7 @@ package bench
 //
 // Every optimized hot path tracked by the suite keeps its unoptimized
 // reference implementation (Oracle/OracleRef, Linear.At/AtRef,
-// WritePoints/WritePointsRef, EncodeJSON/EncodeJSONRef,
+// WritePoints/WritePointsRef,
 // Decode/DecodeRef), so a snapshot carries its own before/after pair and
 // equivalence tests pin the fast path to the reference byte-for-byte.
 

@@ -393,7 +393,7 @@ func TestPerfSuiteShape(t *testing.T) {
 		}
 	}
 	for _, optimized := range []string{"verify/oracle-dp", "model/piecewise-eval",
-		"model/write-points", "service/json-roundtrip", "modelstore/decode"} {
+		"model/write-points", "modelstore/decode"} {
 		if !names[optimized] {
 			t.Errorf("suite is missing tracked benchmark %s", optimized)
 		}

@@ -43,7 +43,6 @@ func PerfSuite() []PerfBenchmark {
 		{Name: "model/write-points", F: benchWritePoints(model.WritePoints)},
 		{Name: "model/write-points-ref", F: benchWritePoints(model.WritePointsRef)},
 		{Name: "service/json-roundtrip", F: benchJSONRoundtrip(service.EncodeJSON, service.DecodeJSON)},
-		{Name: "service/json-roundtrip-ref", F: benchJSONRoundtrip(service.EncodeJSONRef, service.DecodeJSONRef)},
 		{Name: "service/batch-key", F: benchBatchKey},
 		{Name: "modelstore/decode", F: benchStoreDecode(modelstore.Decode)},
 		{Name: "modelstore/decode-ref", F: benchStoreDecode(modelstore.DecodeRef)},
@@ -238,7 +237,7 @@ func perfPartitionResponse() service.PartitionResponse {
 func benchJSONRoundtrip(encode func(io.Writer, any) error, decode func(io.Reader, any) error) func(b *testing.B) {
 	return func(b *testing.B) {
 		var reqBuf bytes.Buffer
-		if err := service.EncodeJSONRef(&reqBuf, perfPartitionRequest()); err != nil {
+		if err := service.EncodeJSON(&reqBuf, perfPartitionRequest()); err != nil {
 			b.Fatal(err)
 		}
 		reqBytes := reqBuf.Bytes()
@@ -258,17 +257,29 @@ func benchJSONRoundtrip(encode func(io.Writer, any) error, decode func(io.Reader
 	}
 }
 
+// benchBatchKey tracks the batch key of a partition over 8 devices: the
+// JSON encoding of a job shaped like the partition op's (tenant, resolved
+// model keys, algorithm, D, comm tag).
 func benchBatchKey(b *testing.B) {
-	keys := make([]service.ModelKey, 8)
-	for i := range keys {
-		keys[i] = service.ModelKey{
+	job := struct {
+		Tenant    string             `json:"tenant"`
+		Keys      []service.ModelKey `json:"keys"`
+		Algorithm string             `json:"algorithm"`
+		D         int                `json:"d"`
+		Comm      string             `json:"comm"`
+	}{Tenant: "tenant-a", Keys: make([]service.ModelKey, 8), Algorithm: "geometric", D: 100000}
+	for i := range job.Keys {
+		job.Keys[i] = service.ModelKey{
 			Device: "netlib-blas", Seed: int64(i + 1), Noise: 0.02,
 			Lo: 16, Hi: 60000, N: 40, Model: "piecewise",
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := service.BatchKey("part", "tenant-a", keys, "geometric", 100000, "")
+		k, err := service.JobKey("partition", &job)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sink += float64(len(k))
 	}
 }

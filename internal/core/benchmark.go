@@ -187,8 +187,16 @@ func LogSizes(lo, hi, n int) []int {
 	prev := 0
 	for i := 0; i < n; i++ {
 		f := float64(lo) * math.Pow(ratio, float64(i)/float64(n-1))
-		d := int(f + 0.5)
+		// Near the top of the int range float64 rounding can leave [lo, hi],
+		// and a size past it would wrap converting.
+		d := hi
+		if f < float64(hi) {
+			d = max(int(f+0.5), lo)
+		}
 		if d <= prev {
+			if prev == hi {
+				break // hi is taken: no larger size fits (and prev+1 could wrap)
+			}
 			d = prev + 1
 		}
 		if d > hi {

@@ -254,6 +254,9 @@ func TestLogSizesBounds(t *testing.T) {
 		{1, 3, 5}, {1, 1, 5}, {1, 2, 9}, {2, 7, 20}, {5, 6, 3},
 		{1, 100, 200}, {10, 10000, 7}, {16, 5000, 40}, {99, 100, 10},
 		{1, 1000000, 3}, {7, 7, 1}, {3, 50, 50},
+		// At the top of the int range a size converted from float64 used
+		// to wrap negative, and the dedup bump past hi to wrap too.
+		{math.MaxInt, math.MaxInt, 4096}, {math.MaxInt - 5000, math.MaxInt, 100}, {1, math.MaxInt, 4096},
 	}
 	for _, c := range cases {
 		s := LogSizes(c.lo, c.hi, c.n)

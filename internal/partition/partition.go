@@ -136,36 +136,33 @@ func fillTimes(models []core.Model, dist *core.Dist) {
 func finalize(models []core.Model, D int, xs []float64) (*core.Dist, error) {
 	n := len(models)
 	dist := &core.Dist{D: D, Parts: make([]core.Part, n)}
-	assigned := 0
+	// excess is Σ parts − D: unlike the sum itself it cannot overflow when
+	// D is near the top of the int range and the floats round up.
+	excess := -D
 	for i, x := range xs {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("partition: non-finite share %g for process %d", x, i)
 		}
-		d := int(math.Floor(x))
-		if d < 0 {
-			d = 0
-		}
-		if d > D {
-			d = D
+		// Clamp before converting: a share past the int range would wrap.
+		d := D
+		if x < float64(D) {
+			d = min(max(int(math.Floor(x)), 0), D)
 		}
 		dist.Parts[i].D = d
-		assigned += d
+		excess += d
 	}
-	if assigned > D {
-		// Floors can only under-assign when Σxs ≈ D, unless shares were
-		// clamped; shave the excess off the largest parts.
-		for assigned > D {
-			maxI := 0
-			for i := range dist.Parts {
-				if dist.Parts[i].D > dist.Parts[maxI].D {
-					maxI = i
-				}
+	// Floors can only under-assign when Σxs ≈ D, unless shares were
+	// clamped or rounded up; shave any excess off the largest parts.
+	for ; excess > 0; excess-- {
+		maxI := 0
+		for i := range dist.Parts {
+			if dist.Parts[i].D > dist.Parts[maxI].D {
+				maxI = i
 			}
-			dist.Parts[maxI].D--
-			assigned--
 		}
+		dist.Parts[maxI].D--
 	}
-	for assigned < D {
+	for ; excess < 0; excess++ {
 		best := -1
 		bestT := math.Inf(1)
 		for i := range dist.Parts {
@@ -179,7 +176,6 @@ func finalize(models []core.Model, D int, xs []float64) (*core.Dist, error) {
 			}
 		}
 		dist.Parts[best].D++
-		assigned++
 	}
 	fillTimes(models, dist)
 	if err := dist.Validate(); err != nil {

@@ -359,6 +359,36 @@ func TestFinalizeSumMatchesExactly(t *testing.T) {
 	}
 }
 
+// TestFinalizeNearIntLimit: shares of a D at the top of the int range
+// that round up in float64 once overflowed the running sum, leaving
+// finalize to add ~2^63 units one at a time; a share rounding past the
+// range wrapped negative on conversion.
+func TestFinalizeNearIntLimit(t *testing.T) {
+	ms := buildModels(t, model.KindPiecewise, twoSpeedDevices(), 10, 5000, 10)
+	D := math.MaxInt - 807
+	for _, xs := range [][]float64{
+		{7688540518808911872, 1534831518045868032}, // Σ floors > math.MaxInt
+		{math.Ldexp(1, 63), 0},                     // past the int range
+	} {
+		d, err := finalize(ms, D, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("shares %v: %v", xs, err)
+		}
+	}
+	for _, p := range []core.Partitioner{Geometric(), Numerical()} {
+		d, err := p.Partition(ms, math.MaxInt)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: %v", p.Name(), err)
+		}
+	}
+}
+
 func TestWithOverheadValidation(t *testing.T) {
 	ms := buildModels(t, model.KindPiecewise, twoSpeedDevices(), 10, 1000, 5)
 	if _, err := WithOverhead(ms, nil); err == nil {

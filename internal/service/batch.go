@@ -1,16 +1,9 @@
 package service
 
 import (
-	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
-
-	"fupermod/internal/core"
-	"fupermod/internal/partition"
-	"fupermod/internal/pool"
 )
 
 // adaptiveWindow adjusts the batch window to the observed partition
@@ -39,11 +32,7 @@ func (a *adaptiveWindow) observe(now time.Time) time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.last.IsZero() {
-		gap := now.Sub(a.last)
-		if gap < 0 {
-			gap = 0
-		}
-		a.ewma = (a.ewma + gap) / 2
+		a.ewma = (a.ewma + max(now.Sub(a.last), 0)) / 2
 	}
 	a.last = now
 	busy, idle := 2*a.max, 4*a.max
@@ -110,35 +99,6 @@ type batchCall struct {
 	joined int
 }
 
-// BatchKey fingerprints everything that determines a partition result:
-// the operation, the tenant, the resolved model cache keys in device
-// order, the algorithm, and the problem size. Requests agreeing on all of
-// these are answered by a single solver call. op keeps the partition key
-// space disjoint from the other batched endpoints (dynpart, balance,
-// rebalance and matpart build their own op-prefixed keys).
-// It is exported so the perf harness (internal/bench) can track its cost —
-// the key is computed on every batched request.
-func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commTag string) string {
-	var b strings.Builder
-	b.Grow(64 + len(op) + len(tenant) + len(algorithm) + len(commTag) + 48*len(keys))
-	b.WriteString(op)
-	b.WriteByte('|')
-	b.WriteString(tenant)
-	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k.String())
-	}
-	b.WriteByte('|')
-	b.WriteString(algorithm)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(D))
-	// Comm-aware and compute-only requests over the same models solve
-	// different balance problems and must never share a batch.
-	b.WriteByte('|')
-	b.WriteString(commTag)
-	return b.String()
-}
-
 // batched coalesces identical expensive operations into a single run (the
 // serving-layer analogue of request batching in an inference stack:
 // identical work admitted together is computed once). The first request
@@ -148,9 +108,8 @@ func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commT
 // invokes run exactly once and publishes the result to everyone. Every
 // leader stays registered until run returns, so identical requests that
 // meet a leader mid-solve, even one that skipped the window, join it at
-// no added wait. Partition solves, dynamic-partition runs, balance and
-// rebalance replays and matpart arrangements all route through here with
-// disjoint key spaces.
+// no added wait. Every batched op routes through here under its JobKey,
+// which starts with the op name, so the ops' key spaces are disjoint.
 func (sh *shard) batched(key string, run func() (any, error)) (val any, err error) {
 	if sh.batchWindow <= 0 {
 		return run()
@@ -201,32 +160,4 @@ func (sh *shard) batched(key string, run func() (any, error)) (val any, err erro
 	}
 	call.val, call.err = run()
 	return call.val, call.err
-}
-
-// solvePartition answers one partition request through the batcher.
-func (sh *shard) solvePartition(tenant string, keys []ModelKey, models []core.Model, algorithm string, D int, commTag string) (*core.Dist, error) {
-	key := BatchKey("part", tenant, keys, algorithm, D, commTag)
-	v, err := sh.batched(key, func() (any, error) {
-		return sh.runSolve(models, algorithm, D)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Dist), nil
-}
-
-// runSolve executes one partitioner call on the shared pool.
-func (sh *shard) runSolve(models []core.Model, algorithm string, D int) (*core.Dist, error) {
-	p, err := partition.ByName(algorithm)
-	if err != nil {
-		return nil, err
-	}
-	var dist *core.Dist
-	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-		sh.stats.batchSolves.Add(1)
-		var serr error
-		dist, serr = p.Partition(models, D)
-		return serr
-	})
-	return dist, err
 }

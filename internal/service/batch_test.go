@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fupermod/internal/core"
 	"fupermod/internal/pool"
 )
 
@@ -158,5 +160,174 @@ func TestSkippingLeaderCoalescesInFlight(t *testing.T) {
 	}
 	if snap.BatchWindowSkips != 1 {
 		t.Errorf("window skips = %d, want 1: followers must join, not lead", snap.BatchWindowSkips)
+	}
+}
+
+// postBody posts req and returns the status and body, or the transport
+// error (a handler panic surfaces as a closed connection), without failing
+// the test from a helper goroutine.
+func postBody(url string, req any) (int, []byte, error) {
+	resp, err := postRaw(url, req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return 0, nil, err
+	}
+	return resp.StatusCode, buf.Bytes(), nil
+}
+
+// TestBatchKeyTenantCollision: tenant names are free text, so a batch key
+// that joined fields with a separator let tenant "x|<key of x's first
+// device>" with one device build the same key as tenant x with two. Two
+// such requests in one batch window must still each get their own solo
+// answer, whichever leads. The leader's solve is held in flight by
+// plugging the single pool worker, so the second request provably meets
+// it.
+func TestBatchKeyTenantCollision(t *testing.T) {
+	fast, slow := DeviceSpec{Preset: "fast", Seed: 1}, DeviceSpec{Preset: "slow", Seed: 2}
+	const D = 6000
+	// pair builds the two requests for one endpoint: tenant x over both
+	// devices, and the tenant whose name spells x's first key over slow.
+	type pair struct {
+		path string
+		grid Grid // the grid the endpoint's model keys carry
+		make func(tenant string, devs []DeviceSpec) any
+	}
+	pairs := []pair{
+		{"/v1/partition", testGrid, func(tenant string, devs []DeviceSpec) any {
+			return PartitionRequest{Tenant: tenant, Devices: devs, Grid: testGrid, D: D}
+		}},
+		{"/v1/dynpart", Grid{Lo: 1, Hi: D, N: 1}, func(tenant string, devs []DeviceSpec) any {
+			return DynpartRequest{Tenant: tenant, Devices: devs, D: D}
+		}},
+	}
+	for _, p := range pairs {
+		key, err := keyOf(fast, p.grid, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := []any{
+			p.make("x", []DeviceSpec{fast, slow}),
+			p.make("x|"+key.String(), []DeviceSpec{slow}),
+		}
+		solo := make([][]byte, len(reqs))
+		for i, req := range reqs {
+			_, ts := newTestServer(t, Config{})
+			status, body := postJSON(t, ts.URL+p.path, req)
+			if status != http.StatusOK {
+				t.Fatalf("%s solo %d: status %d: %s", p.path, i, status, body)
+			}
+			solo[i] = body
+		}
+		for leader := range reqs {
+			t.Run(fmt.Sprintf("%s/leader%d", strings.TrimPrefix(p.path, "/v1/"), leader), func(t *testing.T) {
+				svc, ts := newTestServer(t, Config{Workers: 1, BatchWindow: 40 * time.Millisecond})
+				// Prime both tenants' models through /v1/measure: it never
+				// batches, so the join gate stays open.
+				for _, prime := range []struct {
+					tenant string
+					dev    DeviceSpec
+				}{{"x", fast}, {"x", slow}, {"x|" + key.String(), slow}} {
+					status, body := postJSON(t, ts.URL+"/v1/measure", MeasureRequest{Tenant: prime.tenant, Device: prime.dev, Grid: testGrid})
+					if status != http.StatusOK {
+						t.Fatalf("prime: status %d: %s", status, body)
+					}
+				}
+				unblock := make(chan struct{})
+				var unplug sync.Once
+				t.Cleanup(func() { unplug.Do(func() { close(unblock) }) })
+				blocked := make(chan struct{})
+				go pool.Do(context.Background(), svc.pool, func(context.Context) error {
+					close(blocked)
+					<-unblock
+					return nil
+				})
+				<-blocked
+
+				sh := svc.shards[0]
+				batches := func() int {
+					sh.batchMu.Lock()
+					defer sh.batchMu.Unlock()
+					return len(sh.batches)
+				}
+				type result struct {
+					status int
+					body   []byte
+					err    error
+				}
+				results := make([]result, len(reqs))
+				var wg sync.WaitGroup
+				send := func(i int) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						status, body, err := postBody(ts.URL+p.path, reqs[i])
+						results[i] = result{status, body, err}
+					}()
+				}
+				send(leader)
+				waitFor(t, func() bool { return batches() == 1 }, "the leader to register its batch")
+				send(1 - leader)
+				waitFor(t, func() bool { return batches() == 2 || sh.stats.batchJoined.Load() == 1 },
+					"the second request to lead or join")
+				unplug.Do(func() { close(unblock) })
+				wg.Wait()
+				for i, res := range results {
+					if res.err != nil {
+						t.Errorf("request %d: %v", i, res.err)
+						continue
+					}
+					if res.status != http.StatusOK || !bytes.Equal(res.body, solo[i]) {
+						t.Errorf("request %d: status %d, body\n%s\nwant its solo answer\n%s", i, res.status, res.body, solo[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestJobKeyDistinguishesRequests: partition jobs that differ only in the
+// comm tag, the tenant, the device order or the algorithm never share a
+// batch key, nor does a tenant whose name spells another tenant's first
+// device key; equal jobs always do.
+func TestJobKeyDistinguishesRequests(t *testing.T) {
+	fast := ModelKey{Device: "fast", Seed: 1, Lo: 16, Hi: 2000, N: 8, Model: "fpm-piecewise"}
+	slow := ModelKey{Device: "slow", Seed: 2, Lo: 16, Hi: 2000, N: 8, Model: "fpm-piecewise"}
+	base := partitionJob{Tenant: "x", Keys: []ModelKey{fast, slow}, Algorithm: "geometric", D: 100}
+	variants := map[string]func(*partitionJob){
+		"comm":         func(j *partitionJob) { j.Comm = "loggp/p2p/gigabit/2/512" },
+		"other comm":   func(j *partitionJob) { j.Comm = "loggp/p2p/gigabit/2/1024" },
+		"tenant":       func(j *partitionJob) { j.Tenant = "y" },
+		"device order": func(j *partitionJob) { j.Keys = []ModelKey{slow, fast} },
+		"algorithm":    func(j *partitionJob) { j.Algorithm = "numerical" },
+		"spelled tenant": func(j *partitionJob) {
+			j.Tenant, j.Keys = "x|"+fast.String(), []ModelKey{slow}
+		},
+	}
+	key := func(j partitionJob) string {
+		k, err := JobKey("partition", &j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	seen := map[string]string{key(base): "base"}
+	for name, mutate := range variants {
+		j := base
+		mutate(&j)
+		k := key(j)
+		if other, dup := seen[k]; dup {
+			t.Errorf("%s shares a batch key with %s: %s", name, other, k)
+		}
+		seen[k] = name
+	}
+	same := base
+	same.Keys = append([]ModelKey(nil), base.Keys...)
+	same.models = make([]core.Model, 2) // unexported: not part of the key
+	if key(same) != key(base) {
+		t.Errorf("equal jobs got different keys:\n%s\n%s", key(same), key(base))
 	}
 }

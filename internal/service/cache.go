@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"fupermod/internal/core"
@@ -54,13 +53,8 @@ type entry struct {
 // single-flight registration are a few map/list operations, so one lock
 // keeps the invariants simple and uncontended next to sweep costs.
 type tenantCache struct {
-	max     int
 	entries map[ModelKey]*entry
 	order   *list.List // front = most recently used
-}
-
-func newTenantCache(max int) *tenantCache {
-	return &tenantCache{max: max, entries: make(map[ModelKey]*entry), order: list.New()}
 }
 
 // getModel returns the fitted model and raw points for key in the given
@@ -91,9 +85,7 @@ func (sh *shard) getModel(tenant string, key ModelKey) (core.Model, []core.Point
 	}
 	sh.stats.cacheMisses.Add(1)
 	e := &entry{key: key, ready: make(chan struct{})}
-	e.elem = tc.order.PushFront(e)
-	tc.entries[key] = e
-	sh.evictOverLocked(tc)
+	sh.insertLocked(tc, e)
 	sh.mu.Unlock()
 
 	sh.fill(tenant, e)
@@ -116,15 +108,22 @@ func (sh *shard) getModel(tenant string, key ModelKey) (core.Model, []core.Point
 func (sh *shard) tenantCacheLocked(tenant string) *tenantCache {
 	tc, ok := sh.tenants[tenant]
 	if !ok {
-		tc = newTenantCache(sh.cacheSize)
+		tc = &tenantCache{entries: make(map[ModelKey]*entry), order: list.New()}
 		sh.tenants[tenant] = tc
 	}
 	return tc
 }
 
-// evictOverLocked applies the LRU bound. Caller holds sh.mu.
-func (sh *shard) evictOverLocked(tc *tenantCache) {
-	for tc.order.Len() > tc.max {
+// insertLocked makes e its tenant's most recently used entry, replacing
+// any entry under the same key, and applies the LRU bound. Caller holds
+// sh.mu.
+func (sh *shard) insertLocked(tc *tenantCache, e *entry) {
+	if old, ok := tc.entries[e.key]; ok {
+		tc.order.Remove(old.elem)
+	}
+	e.elem = tc.order.PushFront(e)
+	tc.entries[e.key] = e
+	for tc.order.Len() > sh.cacheSize {
 		oldest := tc.order.Back()
 		victim := oldest.Value.(*entry)
 		tc.order.Remove(oldest)
@@ -168,7 +167,7 @@ func (sh *shard) fill(tenant string, e *entry) {
 			if sh.transfer {
 				return sh.acquireKey(tenant, key, sizes, sk)
 			}
-			return sh.sweptKey(tenant, key, sizes)
+			return sh.sweepKey(tenant, key, sizes)
 		})
 		if info.Corrupt {
 			// Torn or damaged file: the flight re-swept and the spill healed
@@ -206,19 +205,19 @@ func (sh *shard) fill(tenant string, e *entry) {
 		// A disk entry this model kind cannot be fitted to: fall through to
 		// a clean local sweep; the spill below replaces the entry.
 	}
-	kernel, pts, err := sh.sweepKey(tenant, key, sizes)
+	sw, err := sh.sweepKey(tenant, key, sizes)
 	if err != nil {
 		e.err = err
 		return
 	}
-	m, err := fitPoints(key.Model, pts)
+	m, err := fitPoints(key.Model, sw.Points)
 	if err != nil {
 		e.err = err
 		return
 	}
-	e.model, e.points = m, pts
+	e.model, e.points = m, sw.Points
 	if stored {
-		if err := sh.store.Put(sk, kernel, pts); err != nil {
+		if err := sh.store.Put(sk, sw.Kernel, sw.Points); err != nil {
 			sh.stats.storeErrors.Add(1)
 		} else {
 			sh.stats.storeSpills.Add(1)
@@ -233,15 +232,10 @@ func (sh *shard) fill(tenant string, e *entry) {
 // deterministic for a given key — the property that makes cache entries
 // reproducible, disk-store spills replayable, and service responses
 // byte-identical to the direct library path on every replica.
-func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (string, []core.Point, error) {
-	dev, err := sh.resolveDevice(tenant, key.Device)
+func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (modelstore.Swept, error) {
+	dev, k, err := sh.kernelFor(tenant, key)
 	if err != nil {
-		return "", nil, err
-	}
-	meter := platform.NewMeter(dev, noiseConfig(key.Noise), key.Seed)
-	k, err := kernels.NewVirtual(dev.Name(), meter, GEMMBlockFlops)
-	if err != nil {
-		return "", nil, err
+		return modelstore.Swept{}, err
 	}
 	var pts []core.Point
 	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
@@ -254,9 +248,36 @@ func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (string, []c
 		return serr
 	})
 	if err != nil {
-		return "", nil, err
+		return modelstore.Swept{}, err
 	}
-	return dev.Name(), pts, nil
+	return finitePoints(modelstore.Swept{Kernel: dev.Name(), Points: pts})
+}
+
+// finitePoints rejects a measurement with a non-finite time or interval
+// (an absurd noise level overflows them) before it is cached or stored.
+func finitePoints(sw modelstore.Swept) (modelstore.Swept, error) {
+	for _, p := range sw.Points {
+		if !finite(p.Time) || !finite(p.CI) {
+			return modelstore.Swept{}, fmt.Errorf("service: %s measured a non-finite time at d=%d", sw.Kernel, p.D)
+		}
+	}
+	return sw, nil
+}
+
+// kernelFor resolves the key's device and builds its seeded virtual
+// kernel, fresh: the meter draws noise in measurement order.
+func (sh *shard) kernelFor(tenant string, key ModelKey) (platform.Device, core.Kernel, error) {
+	dev, err := sh.resolveDevice(tenant, key.Device)
+	if err != nil {
+		return nil, nil, err
+	}
+	k, err := virtualKernel(dev, key.Noise, key.Seed)
+	return dev, k, err
+}
+
+// virtualKernel builds a device's seeded virtual GEMM kernel.
+func virtualKernel(dev platform.Device, noise float64, seed int64) (core.Kernel, error) {
+	return kernels.NewVirtual(dev.Name(), platform.NewMeter(dev, noiseConfig(noise), seed), GEMMBlockFlops)
 }
 
 // storeKey maps an in-memory cache key to its disk-store key; ok is false
@@ -297,21 +318,4 @@ func noiseConfig(rel float64) platform.NoiseConfig {
 		return platform.Quiet
 	}
 	return platform.NoiseConfig{Rel: rel, OutlierP: 0.02, OutlierScale: 0.5}
-}
-
-// validate reports whether the key is well-formed before any cache work.
-func (k ModelKey) validate() error {
-	if k.Device == "" {
-		return fmt.Errorf("service: device preset is required")
-	}
-	if k.Noise < 0 || math.IsInf(k.Noise, 0) || math.IsNaN(k.Noise) {
-		return fmt.Errorf("service: noise %g must be finite and non-negative", k.Noise)
-	}
-	if k.Lo <= 0 || k.Hi < k.Lo || k.N <= 0 {
-		return fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", k.Lo, k.Hi, k.N)
-	}
-	if k.Model == "" {
-		return fmt.Errorf("service: model kind is required")
-	}
-	return nil
 }

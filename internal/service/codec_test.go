@@ -2,9 +2,9 @@ package service
 
 import (
 	"bytes"
+	"net/http"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -22,99 +22,45 @@ func codecRequest() PartitionRequest {
 	}
 }
 
-// TestEncodeJSONMatchesRef pins the pooled encoder to json.Encoder byte
-// for byte, across value shapes and repeated calls (buffer reuse must not
-// leak bytes between encodes).
-func TestEncodeJSONMatchesRef(t *testing.T) {
-	values := []any{
-		codecRequest(),
-		map[string]any{"a": 1.5, "b": []int{1, 2, 3}},
-		"just a string",
-		nil,
-		struct{ Big string }{Big: strings.Repeat("x", 1<<21)}, // exceeds the pool's retention cap
-		codecRequest(), // small after big: pool took a fresh buffer
-	}
-	for i, v := range values {
-		var got, want bytes.Buffer
-		if err := EncodeJSON(&got, v); err != nil {
-			t.Fatalf("value %d: EncodeJSON: %v", i, err)
-		}
-		if err := EncodeJSONRef(&want, v); err != nil {
-			t.Fatalf("value %d: EncodeJSONRef: %v", i, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("value %d: encodings differ\ngot:  %q\nwant: %q", i, got.String(), want.String())
-		}
-	}
-	// Unencodable values error on both paths.
-	if err := EncodeJSON(&bytes.Buffer{}, func() {}); err == nil {
-		t.Error("EncodeJSON(func) should error")
-	}
-	if err := EncodeJSONRef(&bytes.Buffer{}, func() {}); err == nil {
-		t.Error("EncodeJSONRef(func) should error")
-	}
-}
-
-// TestDecodeJSONMatchesRef: the pooled decoder produces identical values
-// and the identical strictness (unknown fields rejected) as the reference.
-func TestDecodeJSONMatchesRef(t *testing.T) {
+// TestDecodeJSONRejectsUnknownFields: the codec round-trips a request and
+// is strict — an unknown field, like malformed or mistyped JSON, is an
+// error, and every POST endpoint answers it with a 400.
+func TestDecodeJSONRejectsUnknownFields(t *testing.T) {
 	var enc bytes.Buffer
-	if err := EncodeJSONRef(&enc, codecRequest()); err != nil {
+	if err := EncodeJSON(&enc, codecRequest()); err != nil {
 		t.Fatal(err)
 	}
-	valid := enc.String()
 	cases := []struct {
 		name string
 		in   string
 		ok   bool
 	}{
-		{"valid", valid, true},
+		{"valid", enc.String(), true},
 		{"unknown field", `{"tenant":"x","bogus":1}`, false},
 		{"malformed", `{"tenant":`, false},
 		{"empty", ``, false},
 		{"wrong type", `{"d":"not a number"}`, false},
 	}
 	for _, tc := range cases {
-		var got, want PartitionRequest
-		gerr := DecodeJSON(strings.NewReader(tc.in), &got)
-		werr := DecodeJSONRef(strings.NewReader(tc.in), &want)
-		if (gerr == nil) != tc.ok || (werr == nil) != tc.ok {
-			t.Fatalf("%s: want ok=%v, got errors %v / %v", tc.name, tc.ok, gerr, werr)
+		var got PartitionRequest
+		err := DecodeJSON(strings.NewReader(tc.in), &got)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: want ok=%v, got error %v", tc.name, tc.ok, err)
 		}
-		if gerr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded values differ:\n%+v\n%+v", tc.name, got, want)
+		if err == nil && !reflect.DeepEqual(got, codecRequest()) {
+			t.Errorf("%s: round trip changed the request: %+v", tc.name, got)
 		}
 	}
-}
 
-// TestCodecConcurrent round-trips from many goroutines at once (tier 2
-// runs this under -race): the shared buffer pool must never mix up
-// concurrent requests.
-func TestCodecConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			req := codecRequest()
-			req.D = 1000 + worker // distinct payload per goroutine
-			for i := 0; i < 200; i++ {
-				var buf bytes.Buffer
-				if err := EncodeJSON(&buf, req); err != nil {
-					t.Errorf("worker %d: %v", worker, err)
-					return
-				}
-				var back PartitionRequest
-				if err := DecodeJSON(&buf, &back); err != nil {
-					t.Errorf("worker %d: %v", worker, err)
-					return
-				}
-				if !reflect.DeepEqual(back, req) {
-					t.Errorf("worker %d: round trip changed the request: %+v != %+v", worker, back, req)
-					return
-				}
-			}
-		}(w)
+	_, ts := newTestServer(t, Config{})
+	for _, o := range ops {
+		resp, err := http.Post(ts.URL+o.path(), "application/json", strings.NewReader(`{"tenant":"x","bogus":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with an unknown field: status %d, want 400", o.path(), resp.StatusCode)
+		}
 	}
-	wg.Wait()
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"fupermod/internal/commmodel"
 	"fupermod/internal/core"
@@ -39,11 +40,7 @@ func (c CommSpec) normalize(devices int) (commmodel.Spec, string, error) {
 	if kind == "" {
 		kind = "loggp"
 	}
-	ok := false
-	for _, k := range commmodel.ModelKinds() {
-		ok = ok || k == kind
-	}
-	if !ok {
+	if !slices.Contains(commmodel.ModelKinds(), kind) {
 		return commmodel.Spec{}, "", fmt.Errorf("unknown comm model %q (want one of %v)", c.Model, commmodel.ModelKinds())
 	}
 	if c.BytesPerUnit < 0 {
@@ -54,11 +51,7 @@ func (c CommSpec) normalize(devices int) (commmodel.Spec, string, error) {
 		return commmodel.Spec{}, "", err
 	}
 	// Point-to-point ops need a peer even when one device is partitioned.
-	ranks := devices
-	if ranks < 2 {
-		ranks = 2
-	}
-	spec := commmodel.Spec{Op: op, Ranks: ranks, Net: net, NetName: c.Net}
+	spec := commmodel.Spec{Op: op, Ranks: max(devices, 2), Net: net, NetName: c.Net}
 	if err := spec.Validate(); err != nil {
 		return commmodel.Spec{}, "", err
 	}

@@ -139,15 +139,3 @@ func TestPartitionCommValidation(t *testing.T) {
 		t.Errorf("zero bytes_per_unit: status %d: %s", status, body)
 	}
 }
-
-// TestBatchKeyIncludesComm: identical requests that differ only in the
-// comm spec must not share a batch — the two concurrent requests below
-// would otherwise receive the same distribution.
-func TestBatchKeyIncludesComm(t *testing.T) {
-	a := BatchKey("part", "t", nil, "geometric", 100, "")
-	b := BatchKey("part", "t", nil, "geometric", 100, "loggp/p2p/gigabit/2/512")
-	c := BatchKey("part", "t", nil, "geometric", 100, "loggp/p2p/gigabit/2/1024")
-	if a == b || b == c {
-		t.Errorf("batch keys collide across comm specs: %q %q %q", a, b, c)
-	}
-}

@@ -1,6 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,7 +59,7 @@ func FuzzCacheStore(f *testing.F) {
 		var canonMu sync.Mutex
 		canonical := map[ModelKey][]PointPayload{}
 		check := func(key ModelKey) {
-			_, pts, err := svc.getModel("fuzz", key)
+			_, pts, err := svc.shards[0].getModel("fuzz", key)
 			if err != nil {
 				t.Errorf("getModel(%v): %v", key, err)
 				return
@@ -108,7 +112,7 @@ func FuzzCacheStore(f *testing.F) {
 				if err != nil {
 					t.Fatalf("reload: %v", err)
 				}
-				_, pts, err := svc2.getModel("fuzz", fuzzKey(op))
+				_, pts, err := svc2.shards[0].getModel("fuzz", fuzzKey(op))
 				if err != nil || len(pts) == 0 {
 					t.Errorf("reloaded getModel: %d points, err %v", len(pts), err)
 				}
@@ -128,6 +132,88 @@ func FuzzCacheStore(f *testing.F) {
 			if len(e.Points) == 0 {
 				t.Errorf("store served an empty entry for %v", e.Key)
 			}
+		}
+	})
+}
+
+// fuzzProbe is the well-formed partition request FuzzHandler sends after
+// every fuzzed one; its devices and grid are the seeds' own, so fuzzed
+// requests can reach the cache entries it reads.
+var fuzzProbe = PartitionRequest{
+	Tenant:  "fuzz",
+	Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}},
+	Grid:    Grid{Lo: 16, Hi: 500, N: 4},
+	D:       1000,
+}
+
+// serveOnce sends one request straight to a handler.
+func serveOnce(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// FuzzHandler drives Server.Handler() with arbitrary bodies on every POST
+// endpoint (which picks the op, modulo the table). Invariants:
+//
+//   - the answer is a 2xx or a 4xx: hostile input is the client's error,
+//     never a 5xx or a panic (batching is off, so no recover hides one);
+//   - nothing the request leaves behind changes a later well-formed
+//     request: fuzzProbe answers byte-identically to a fresh server.
+func FuzzHandler(f *testing.F) {
+	dev := fuzzProbe.Devices[0]
+	seeds := map[string]any{
+		"/v1/measure":   MeasureRequest{Tenant: "fuzz", Device: dev, Grid: fuzzProbe.Grid},
+		"/v1/model":     ModelRequest{Tenant: "fuzz", Device: dev, Grid: fuzzProbe.Grid, Model: model.KindAkima},
+		"/v1/partition": fuzzProbe,
+		"/v1/dynpart":   DynpartRequest{Tenant: "fuzz", Devices: fuzzProbe.Devices, D: 1000},
+		"/v1/balance":   BalanceRequest{Tenant: "fuzz", N: 2, D: 100, Iterations: [][]float64{{1, 2}, {1.5, 1.2}}},
+		"/v1/rebalance": RebalanceRequest{Tenant: "fuzz", N: 2, D: 100, Units: []int{50, 50},
+			Iterations: [][]float64{{1, 2}}, Rounds: 10, UnitBytes: 64, Comm: &CommSpec{Net: "gigabit"}},
+		"/v1/matpart": MatpartRequest{Tenant: "fuzz", Areas: []float64{3, 1, 0}, Grid: 8},
+		"/v1/machine": MachineRequest{Tenant: "fuzz", Machine: "node n0\n  cpu c0 peak=2e9\n"},
+	}
+	newServer := func(t testing.TB) *Server {
+		svc, err := New(Config{Workers: 2, BatchWindow: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	for i, o := range ops {
+		body, err := json.Marshal(seeds[o.path()])
+		if err != nil {
+			f.Fatal(err)
+		}
+		svc := newServer(f)
+		if rec := serveOnce(svc.Handler(), http.MethodPost, o.path(), body); rec.Code != http.StatusOK {
+			f.Fatalf("seed %s: status %d: %s", o.path(), rec.Code, rec.Body)
+		}
+		svc.Close()
+		f.Add(uint8(i), body)
+	}
+	probe, err := json.Marshal(fuzzProbe)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fresh := newServer(f)
+	want := serveOnce(fresh.Handler(), http.MethodPost, "/v1/partition", probe)
+	fresh.Close()
+	if want.Code != http.StatusOK {
+		f.Fatalf("probe on a fresh server: status %d: %s", want.Code, want.Body)
+	}
+
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		svc := newServer(t)
+		defer svc.Close()
+		h := svc.Handler()
+		path := ops[int(which)%len(ops)].path()
+		if rec := serveOnce(h, http.MethodPost, path, body); rec.Code < 200 || rec.Code >= 500 {
+			t.Fatalf("%s %q: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		rec := serveOnce(h, http.MethodPost, "/v1/partition", probe)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("after %s %q the probe answers %d:\n%s\nnot the fresh server's\n%s", path, body, rec.Code, rec.Body, want.Body)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -67,27 +66,29 @@ func machineFingerprint(text string) string {
 	return hex.EncodeToString(sum[:6])
 }
 
-func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
-	var req MachineRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
+// parseMachine parses and bounds an upload's machine file.
+func parseMachine(req *MachineRequest) (*config.Machine, error) {
 	if strings.TrimSpace(req.Machine) == "" {
-		return badRequest("machine file text is required")
+		return nil, badRequest("machine file text is required")
 	}
 	m, err := config.Parse(strings.NewReader(req.Machine))
 	if err != nil {
-		return badRequest("%v", err)
+		return nil, badRequest("%v", err)
+	}
+	if n := len(m.Devices()); n > MaxDevices {
+		return nil, badRequest("machine file defines %d devices, limit is %d", n, MaxDevices)
+	}
+	return m, nil
+}
+
+// resolveMachine registers the upload with the tenant's shard; the text
+// was checked before routing, so parsing it again cannot fail.
+func resolveMachine(sh *shard, tenant string, req *MachineRequest) (*MachineResponse, error) {
+	m, err := parseMachine(req)
+	if err != nil {
+		return nil, err
 	}
 	devs := m.Devices()
-	if len(devs) > MaxDevices {
-		return badRequest("machine file defines %d devices, limit is %d", len(devs), MaxDevices)
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
 	fp := machineFingerprint(req.Machine)
 
 	sh.machineMu.Lock()
@@ -103,7 +104,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 	tm.current = fp
 	sh.machineMu.Unlock()
 
-	resp := MachineResponse{Tenant: tenant, Fingerprint: fp}
+	resp := &MachineResponse{Tenant: tenant, Fingerprint: fp}
 	nodeOf := m.NodeOf()
 	for rank, dev := range devs {
 		resp.Devices = append(resp.Devices, MachineDevice{
@@ -112,7 +113,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 			Node: m.Nodes[nodeOf[rank]].Name,
 		})
 	}
-	return writeJSON(w, resp)
+	return resp, nil
 }
 
 // canonDevice maps a request's device reference to its canonical cache

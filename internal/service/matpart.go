@@ -1,15 +1,9 @@
 package service
 
 import (
-	"context"
-	"math"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 
 	"fupermod/internal/matpart"
-	"fupermod/internal/pool"
 )
 
 // /v1/matpart serves the 2D column-based matrix arrangement (Beaumont et
@@ -20,7 +14,7 @@ import (
 // matrix multiplication. Like /v1/balance and /v1/rebalance the solve is a
 // pure function of the request, so identical requests produce identical
 // bytes on any shard of any replica, and concurrent identical requests
-// batch under the op-prefixed "mat|" key.
+// batch like every op (op.go).
 
 // MaxMatpartGrid bounds the optional block-grid side of a matpart request.
 const MaxMatpartGrid = 4096
@@ -88,22 +82,17 @@ type MatpartResponse struct {
 	Blocks []MatpartBlock `json:"blocks,omitempty"`
 }
 
-func (s *Server) handleMatpart(w http.ResponseWriter, r *http.Request) error {
-	var req MatpartRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
+func checkMatpart(req *MatpartRequest) error {
+	req.Tenant = TenantOf(req.Tenant) // the checked request is the whole job
 	if len(req.Areas) == 0 || len(req.Areas) > MaxDevices {
 		return badRequest("process count %d must be in [1, %d]", len(req.Areas), MaxDevices)
 	}
 	anyPositive := false
 	for i, a := range req.Areas {
-		if a < 0 || math.IsInf(a, 0) || math.IsNaN(a) {
+		if a < 0 || !finite(a) {
 			return badRequest("areas[%d] = %g must be finite and non-negative", i, a)
 		}
-		if a > 0 {
-			anyPositive = true
-		}
+		anyPositive = anyPositive || a > 0
 	}
 	if !anyPositive {
 		return badRequest("all areas are zero: nothing to arrange")
@@ -111,29 +100,7 @@ func (s *Server) handleMatpart(w http.ResponseWriter, r *http.Request) error {
 	if req.Grid < 0 || req.Grid > MaxMatpartGrid {
 		return badRequest("grid %d must be in [0, %d]", req.Grid, MaxMatpartGrid)
 	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
-
-	bkey := matpartBatchKey(tenant, &req)
-	v, err := sh.batched(bkey, func() (any, error) {
-		var resp *MatpartResponse
-		// The arrangement is pure computation (one DP plus the grid
-		// discretisation); one pool slot bounds it like any other solve.
-		err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-			sh.stats.matpartRuns.Add(1)
-			var merr error
-			resp, merr = solveMatpart(&req)
-			return merr
-		})
-		return resp, err
-	})
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	return writeJSON(w, v.(*MatpartResponse))
+	return nil
 }
 
 // solveMatpart is the pure library path of the endpoint: arrange, derive
@@ -202,21 +169,4 @@ func matpartColumns(rects []matpart.Rect) []MatpartColumn {
 		cols = append(cols, MatpartColumn{X: r.X, W: r.W, Procs: []int{r.Proc}})
 	}
 	return cols
-}
-
-// matpartBatchKey fingerprints a full arrangement request.
-func matpartBatchKey(tenant string, req *MatpartRequest) string {
-	var b strings.Builder
-	b.WriteString("mat|")
-	b.WriteString(tenant)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(req.Grid))
-	b.WriteByte('|')
-	for i, a := range req.Areas {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatFloat(a, 'g', -1, 64))
-	}
-	return b.String()
 }

@@ -20,7 +20,7 @@ import (
 // would punish exactly the requests the cache exists to make cheap.
 type quotas struct {
 	slots   int            // in-flight operations per weight unit
-	weights map[string]int // tenant → weight; absent tenants weigh 1
+	weights map[string]int // tenant → weight; absent (or < 1) weighs 1
 
 	mu       sync.Mutex
 	inflight map[string]int
@@ -39,15 +39,6 @@ func newQuotas(slots int, weights map[string]int) *quotas {
 	return &quotas{slots: slots, weights: w, inflight: make(map[string]int)}
 }
 
-// limit returns the tenant's in-flight bound.
-func (q *quotas) limit(tenant string) int {
-	w, ok := q.weights[tenant]
-	if !ok || w < 1 {
-		w = 1
-	}
-	return q.slots * w
-}
-
 // acquire admits one expensive operation for the tenant, reporting false
 // on breach. Callers must release() exactly once per successful acquire.
 func (q *quotas) acquire(tenant string) bool {
@@ -56,7 +47,7 @@ func (q *quotas) acquire(tenant string) bool {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.inflight[tenant] >= q.limit(tenant) {
+	if q.inflight[tenant] >= q.slots*max(q.weights[tenant], 1) {
 		return false
 	}
 	q.inflight[tenant]++
@@ -99,9 +90,5 @@ func (sh *shard) retryAfterSecs() int {
 		return 1
 	}
 	avg := time.Duration(sh.stats.sweepNanos.Load() / n)
-	secs := int(math.Ceil(avg.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return max(int(math.Ceil(avg.Seconds())), 1)
 }

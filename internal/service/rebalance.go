@@ -1,18 +1,13 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"net/http"
-	"strconv"
-	"strings"
 
 	"fupermod/internal/core"
 	"fupermod/internal/dynamic"
 	"fupermod/internal/model"
 	"fupermod/internal/partition"
-	"fupermod/internal/pool"
 	"fupermod/internal/rebalance"
 )
 
@@ -22,8 +17,8 @@ import (
 // distribution the drift'd measurements suggest is worth the bytes. Like
 // /v1/balance the computation is a stateless replay — the observation
 // history travels in the request — so identical requests get identical
-// decisions on any shard of any replica, and the whole run batches under
-// the op-prefixed "reb|" key.
+// decisions on any shard of any replica, and the whole run batches like
+// every op (op.go).
 
 // RebalanceRequest asks for a cost-gated repartitioning decision. The
 // observed iterations must all have been measured under Units, the
@@ -96,16 +91,9 @@ type RebalanceResponse struct {
 	Comm string `json:"comm"`
 }
 
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) error {
-	var req RebalanceRequest
-	if err := decode(w, r, &req); err != nil {
+func checkRebalance(req *RebalanceRequest) error {
+	if err := checkProcs(req.N, req.D); err != nil {
 		return err
-	}
-	if req.N <= 0 || req.N > MaxDevices {
-		return badRequest("process count n=%d must be in [1, %d]", req.N, MaxDevices)
-	}
-	if req.D < req.N {
-		return badRequest("problem size d=%d smaller than process count %d", req.D, req.N)
 	}
 	if len(req.Units) != req.N {
 		return badRequest("units has %d entries for %d processes", len(req.Units), req.N)
@@ -115,107 +103,80 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) error {
 		if u < 0 {
 			return badRequest("units[%d] = %d is negative", i, u)
 		}
+		if u > math.MaxInt-sum {
+			return badRequest("units[%d] = %d overflows the units sum", i, u)
+		}
 		sum += u
 	}
 	if sum != req.D {
 		return badRequest("units sum to %d, want d=%d", sum, req.D)
 	}
-	if len(req.Iterations) == 0 {
-		return badRequest("at least one observed iteration is required")
-	}
-	for i, times := range req.Iterations {
-		if len(times) != req.N {
-			return badRequest("iteration %d has %d times for %d processes", i, len(times), req.N)
-		}
-		for j, t := range times {
-			if t < 0 || math.IsInf(t, 0) || math.IsNaN(t) {
-				return badRequest("iteration %d process %d: time %g must be finite and non-negative", i, j, t)
-			}
-			if req.Units[j] > 0 && t == 0 {
-				return badRequest("iteration %d process %d: zero time for a loaded process", i, j)
-			}
-		}
+	if err := checkIterations(req.Iterations, req.N, req.Units); err != nil {
+		return err
 	}
 	if req.Rounds <= 0 {
 		return badRequest("rounds must be positive, got %d", req.Rounds)
 	}
-	if req.UnitBytes <= 0 || math.IsInf(req.UnitBytes, 0) || math.IsNaN(req.UnitBytes) {
+	if req.UnitBytes <= 0 || !finite(req.UnitBytes) {
 		return badRequest("unit_bytes %g must be finite and positive", req.UnitBytes)
 	}
 	if req.Comm == nil {
 		return badRequest("a comm spec is required: the decision prices bytes on a network")
 	}
-	kind := req.Model
-	if kind == "" {
-		kind = model.KindAdaptive
-	}
-	if _, err := model.New(kind); err != nil {
-		return badRequest("%v", err)
-	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "geometric"
-	}
-	algo, err := partition.ByName(algorithm)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
+	if err := defaultKind(&req.Model, model.KindAdaptive); err != nil {
 		return err
 	}
+	return defaultAlgorithm(&req.Algorithm)
+}
+
+// rebalanceJob is a checked rebalance request with its comm spec resolved
+// to the shard's calibrated link model. Comm shadows the request's raw
+// spec, in Go and in the batch key, with the fingerprint of what priced
+// the plan.
+type rebalanceJob struct {
+	RebalanceRequest
+	Comm string `json:"comm"`
+	link rebalance.CommCost
+}
+
+func resolveRebalance(sh *shard, tenant string, req *RebalanceRequest) (*rebalanceJob, error) {
 	link, commTag, err := sh.commModel(*req.Comm, req.N)
 	if err != nil {
-		return asRequestError(err, "comm: %v", err)
+		return nil, asRequestError(err, "comm: %v", err)
 	}
-
-	bkey := rebalanceBatchKey(tenant, &req, kind, algorithm, commTag)
-	v, err := sh.batched(bkey, func() (any, error) {
-		var resp *RebalanceResponse
-		// The replay is pure computation (model updates, one solver call,
-		// the plan sweep); one pool slot bounds it like any other solve.
-		err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-			sh.stats.rebalanceRuns.Add(1)
-			var rerr error
-			resp, rerr = solveRebalance(&req, kind, algorithm, algo, link, commTag)
-			return rerr
-		})
-		return resp, err
-	})
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	return writeJSON(w, v.(*RebalanceResponse))
+	job := &rebalanceJob{RebalanceRequest: *req, Comm: commTag, link: link}
+	job.Tenant = tenant
+	return job, nil
 }
 
 // solveRebalance is the pure library path of the endpoint: replay the
 // observations into partial models, propose, plan, price, decide. The
-// cross-replica differential calls exactly this sequence directly.
-func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Partitioner, link rebalance.CommCost, commTag string) (*RebalanceResponse, error) {
-	old := &core.Dist{D: req.D, Parts: make([]core.Part, req.N)}
-	for i, u := range req.Units {
+// cross-replica differential replays exactly this sequence directly.
+func solveRebalance(job *rebalanceJob) (*RebalanceResponse, error) {
+	algo, _ := partition.ByName(job.Algorithm) // checked by defaultAlgorithm
+	old := &core.Dist{D: job.D, Parts: make([]core.Part, job.N)}
+	for i, u := range job.Units {
 		old.Parts[i].D = u
 	}
-	models := make([]core.Model, req.N)
+	models := make([]core.Model, job.N)
 	for i := range models {
-		m, err := model.New(kind)
+		m, err := model.New(job.Model)
 		if err != nil {
 			return nil, err
 		}
 		models[i] = m
 	}
-	for it, times := range req.Iterations {
+	for it, times := range job.Iterations {
 		for i, t := range times {
-			if req.Units[i] <= 0 {
+			if job.Units[i] <= 0 {
 				continue // an unloaded process measured nothing
 			}
-			if err := models[i].Update(core.Point{D: req.Units[i], Time: t, Reps: 1}); err != nil {
+			if err := models[i].Update(core.Point{D: job.Units[i], Time: t, Reps: 1}); err != nil {
 				return nil, fmt.Errorf("iteration %d: updating model %d: %w", it, i, err)
 			}
 		}
 	}
-	proposal, err := algo.Partition(models, req.D)
+	proposal, err := algo.Partition(models, job.D)
 	if err != nil {
 		return nil, fmt.Errorf("proposing: %w", err)
 	}
@@ -227,11 +188,11 @@ func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Par
 	if err != nil {
 		return nil, fmt.Errorf("predicting proposed makespan: %w", err)
 	}
-	dec, err := rebalance.Decide(oldPred, newPred, rebalance.Uniform(link), req.UnitBytes, req.Rounds)
+	dec, err := rebalance.Decide(oldPred, newPred, rebalance.Uniform(job.link), job.UnitBytes, job.Rounds)
 	if err != nil {
 		return nil, err
 	}
-	newUnits := make([]int, req.N)
+	newUnits := make([]int, job.N)
 	for i, p := range proposal.Parts {
 		newUnits[i] = p.D
 	}
@@ -240,11 +201,11 @@ func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Par
 		moves[i] = MovePayload{From: m.From, To: m.To, Units: m.Units, Bytes: float64(m.Units) * dec.Plan.UnitBytes}
 	}
 	return &RebalanceResponse{
-		Algorithm:     algorithm,
-		Model:         kind,
-		D:             req.D,
-		N:             req.N,
-		OldUnits:      append([]int(nil), req.Units...),
+		Algorithm:     job.Algorithm,
+		Model:         job.Model,
+		D:             job.D,
+		N:             job.N,
+		OldUnits:      append([]int(nil), job.Units...),
 		NewUnits:      newUnits,
 		Migrate:       dec.Migrate,
 		Rounds:        dec.Rounds,
@@ -258,33 +219,6 @@ func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Par
 		Moves:         moves,
 		SendBytes:     dec.Plan.SendBytes(),
 		RecvBytes:     dec.Plan.RecvBytes(),
-		Comm:          commTag,
+		Comm:          job.Comm,
 	}, nil
-}
-
-// rebalanceBatchKey fingerprints a full decision, observation history and
-// priced network included.
-func rebalanceBatchKey(tenant string, req *RebalanceRequest, kind, algorithm, commTag string) string {
-	var b strings.Builder
-	b.WriteString("reb|")
-	b.WriteString(tenant)
-	fmt.Fprintf(&b, "|%d|%d|%s|%s|%d|%s|%s", req.N, req.D, kind, algorithm, req.Rounds,
-		strconv.FormatFloat(req.UnitBytes, 'g', -1, 64), commTag)
-	b.WriteByte('|')
-	for i, u := range req.Units {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(u))
-	}
-	for _, times := range req.Iterations {
-		b.WriteByte('|')
-		for j, t := range times {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		}
-	}
-	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -254,6 +255,7 @@ func TestRebalanceValidation(t *testing.T) {
 		mutate(func(r *RebalanceRequest) { r.Comm = &CommSpec{Net: "no-such-net"} }),
 		mutate(func(r *RebalanceRequest) { r.Model = "no-such-model" }),
 		mutate(func(r *RebalanceRequest) { r.Algorithm = "no-such-algo" }),
+		mutate(func(r *RebalanceRequest) { r.D, r.Units = 3, []int{math.MaxInt, math.MaxInt, 5} }), // sum wraps to d
 	}
 	for i, req := range bad {
 		status, body := postJSON(t, ts.URL+"/v1/rebalance", req)

@@ -5,12 +5,12 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"fupermod/internal/core"
 	"fupermod/internal/pool"
 	"fupermod/internal/service/modelstore"
 	"fupermod/internal/service/ring"
+	"fupermod/internal/transfer"
 )
 
 // Server is the partition service: a stateless routing layer in front of
@@ -31,18 +31,7 @@ type Server struct {
 	store *modelstore.Store
 	ring  *ring.Ring
 
-	// Normalised Config, kept for constructing replacement shards.
-	cacheSize    int
-	batchWindow  time.Duration
-	precision    core.Precision
-	quotaSlots   int
-	quotaWeights map[string]int
-
-	// Normalised transfer options (Config.Transfer*).
-	transfer       bool
-	transferProbes int
-	transferBudget int
-	transferTol    float64
+	options
 
 	shardMu sync.RWMutex
 	shards  []*shard
@@ -61,22 +50,6 @@ func shardName(i int) string { return strconv.Itoa(i) }
 // precision is preloaded into its owning shard's tenant caches before the
 // first request.
 func New(cfg Config) (*Server, error) {
-	cacheSize := cfg.CacheSize
-	if cacheSize <= 0 {
-		cacheSize = DefaultCacheSize
-	}
-	window := cfg.BatchWindow
-	if window == 0 {
-		window = DefaultBatchWindow
-	}
-	prec := cfg.Precision
-	if prec == (core.Precision{}) {
-		prec = DefaultSweepPrecision
-	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = 1
-	}
 	if cfg.Transfer {
 		if cfg.StoreDir == "" {
 			return nil, fmt.Errorf("service: Transfer requires StoreDir (the store is the donor pool)")
@@ -85,27 +58,32 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("service: transfer options must be non-negative")
 		}
 	}
-	transferProbes := cfg.TransferProbes
-	if transferProbes == 0 {
-		transferProbes = DefaultTransferProbes
+	o := options{
+		cacheSize:    cfg.CacheSize,
+		batchWindow:  cfg.BatchWindow,
+		precision:    cfg.Precision,
+		quotaSlots:   cfg.QuotaSlots,
+		quotaWeights: cfg.QuotaWeights,
+		transfer:     cfg.Transfer,
+		transferCfg:  transfer.Config{Probes: cfg.TransferProbes, Budget: cfg.TransferBudget, Tol: cfg.TransferTol},
 	}
-	transferTol := cfg.TransferTol
-	if transferTol == 0 {
-		transferTol = DefaultTransferTol
+	if o.cacheSize <= 0 {
+		o.cacheSize = DefaultCacheSize
 	}
-	s := &Server{
-		pool:           pool.New(cfg.Workers),
-		ring:           ring.New(0),
-		cacheSize:      cacheSize,
-		batchWindow:    window,
-		precision:      prec,
-		quotaSlots:     cfg.QuotaSlots,
-		quotaWeights:   cfg.QuotaWeights,
-		transfer:       cfg.Transfer,
-		transferProbes: transferProbes,
-		transferBudget: cfg.TransferBudget,
-		transferTol:    transferTol,
+	if o.batchWindow == 0 {
+		o.batchWindow = DefaultBatchWindow
 	}
+	if o.precision == (core.Precision{}) {
+		o.precision = DefaultSweepPrecision
+	}
+	if o.transferCfg.Probes == 0 {
+		o.transferCfg.Probes = DefaultTransferProbes
+	}
+	if o.transferCfg.Tol == 0 {
+		o.transferCfg.Tol = DefaultTransferTol
+	}
+	nshards := max(cfg.Shards, 1)
+	s := &Server{pool: pool.New(cfg.Workers), ring: ring.New(0), options: o}
 	if cfg.StoreDir != "" {
 		st, err := modelstore.Open(cfg.StoreDir)
 		if err != nil {
@@ -119,26 +97,27 @@ func New(cfg Config) (*Server, error) {
 		s.shards[i] = s.newShard(i)
 	}
 	if s.store != nil {
-		s.preload()
+		s.preload(nil)
 	}
 	return s, nil
 }
 
 // preload warms the shard caches from the disk store, routing every entry
-// to the shard its tenant lives on. Corrupt files are only counted — the
-// torn entries re-sweep (and heal) lazily on first use.
-func (s *Server) preload() {
+// to the shard its tenant lives on — all shards at start, or only the
+// given revived one. Corrupt files are only counted, at start — the torn
+// entries re-sweep (and heal) lazily on first use.
+func (s *Server) preload(only *shard) {
 	entries, corrupt, err := s.store.Load()
 	if err != nil {
 		return
 	}
-	s.front.preloadCorrupt.Add(int64(len(corrupt)))
+	if only == nil {
+		s.front.preloadCorrupt.Add(int64(len(corrupt)))
+	}
 	for _, ent := range entries {
-		sh, err := s.shardFor(ent.Key.Tenant)
-		if err != nil {
-			continue
+		if sh, err := s.shardFor(ent.Key.Tenant); err == nil && (only == nil || sh == only) {
+			sh.preloadEntry(ent)
 		}
-		sh.preloadEntry(ent)
 	}
 }
 
@@ -179,16 +158,6 @@ func (s *Server) shardFor(tenant string) (*shard, error) {
 	return s.shards[i], nil
 }
 
-// getModel routes one cache lookup to the tenant's shard. Kept as a Server
-// method because the fuzz harness drives the cache layer directly.
-func (s *Server) getModel(tenant string, key ModelKey) (core.Model, []core.Point, error) {
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sh.getModel(tenant, key)
-}
-
 // KillShard is the failure-injection surface the failover tests (and
 // operators rehearsing one) use: it marks shard i dead on the ring — its
 // tenants fail over to their clockwise successors on the next request —
@@ -226,15 +195,7 @@ func (s *Server) ReviveShard(i int) error {
 	s.ring.SetLive(shardName(i), true)
 
 	if s.store != nil {
-		entries, _, err := s.store.Load()
-		if err == nil {
-			name := shardName(i)
-			for _, ent := range entries {
-				if owner, ok := s.ring.Lookup(ent.Key.Tenant); ok && owner == name {
-					sh.preloadEntry(ent)
-				}
-			}
-		}
+		s.preload(sh)
 	}
 	return nil
 }

@@ -46,13 +46,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"fupermod/internal/core"
 	"fupermod/internal/model"
+	"fupermod/internal/partition"
 )
 
 // GEMMBlockFlops is the arithmetic cost of one computation unit (one
@@ -80,6 +80,10 @@ const DefaultBatchWindow = time.Millisecond
 
 // MaxDevices bounds the number of devices in one partition request.
 const MaxDevices = 64
+
+// MaxGridN bounds the number of sizes in one benchmark grid: a sweep
+// allocates and measures every size up front.
+const MaxGridN = 4096
 
 // DefaultTransferProbes is the initial probe count of a transferred fill
 // when Config.TransferProbes is 0.
@@ -140,17 +144,15 @@ type Config struct {
 	TransferTol float64
 }
 
-// Handler returns the service's HTTP routes.
+// Handler returns the service's HTTP routes: one per op (op.go) plus the
+// two GET views.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/measure", s.instrument(s.handleMeasure))
-	mux.HandleFunc("/v1/model", s.instrument(s.handleModel))
-	mux.HandleFunc("/v1/partition", s.instrument(s.handlePartition))
-	mux.HandleFunc("/v1/dynpart", s.instrument(s.handleDynpart))
-	mux.HandleFunc("/v1/balance", s.instrument(s.handleBalance))
-	mux.HandleFunc("/v1/rebalance", s.instrument(s.handleRebalance))
-	mux.HandleFunc("/v1/matpart", s.instrument(s.handleMatpart))
-	mux.HandleFunc("/v1/machine", s.instrument(s.handleMachine))
+	for _, o := range ops {
+		mux.HandleFunc(o.path(), s.instrument(func(w http.ResponseWriter, r *http.Request) error {
+			return o.serve(s, w, r)
+		}))
+	}
 	mux.HandleFunc("/stats", s.instrument(s.handleStats))
 	mux.HandleFunc("/healthz", s.instrument(s.handleHealthz))
 	return mux
@@ -313,19 +315,6 @@ func (s *Server) instrument(h func(w http.ResponseWriter, r *http.Request) error
 	}
 }
 
-// decode parses a JSON request body with a sane size bound, through the
-// pooled codec (codec.go).
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	if r.Method != http.MethodPost {
-		return &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"}
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := DecodeJSON(r.Body, v); err != nil {
-		return badRequest("malformed request: %v", err)
-	}
-	return nil
-}
-
 func writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return EncodeJSON(w, v)
@@ -355,12 +344,25 @@ func (sh *shard) keyFor(tenant string, dev DeviceSpec, grid Grid, kind string) (
 	return keyOf(dev, grid, kind)
 }
 
-// keyOf resolves a device spec + grid + model kind into a cache key.
+// keyOf checks a device spec + grid and resolves them with the model kind
+// into a cache key, before any cache work.
 func keyOf(dev DeviceSpec, grid Grid, kind string) (ModelKey, error) {
+	if dev.Preset == "" {
+		return ModelKey{}, badRequest("service: device preset is required")
+	}
+	if dev.Noise < 0 || !finite(dev.Noise) {
+		return ModelKey{}, badRequest("service: noise %g must be finite and non-negative", dev.Noise)
+	}
+	if grid.Lo <= 0 || grid.Hi < grid.Lo || grid.N <= 0 {
+		return ModelKey{}, badRequest("service: invalid size grid lo=%d hi=%d n=%d", grid.Lo, grid.Hi, grid.N)
+	}
+	if grid.N > MaxGridN {
+		return ModelKey{}, badRequest("service: size grid n=%d exceeds the limit of %d", grid.N, MaxGridN)
+	}
 	if kind == "" {
 		kind = model.KindPiecewise
 	}
-	k := ModelKey{
+	return ModelKey{
 		Device: dev.Preset,
 		Seed:   dev.Seed,
 		Noise:  dev.Noise,
@@ -368,11 +370,7 @@ func keyOf(dev DeviceSpec, grid Grid, kind string) (ModelKey, error) {
 		Hi:     grid.Hi,
 		N:      grid.N,
 		Model:  kind,
-	}
-	if err := k.validate(); err != nil {
-		return ModelKey{}, badRequest("%v", err)
-	}
-	return k, nil
+	}, nil
 }
 
 func pointPayloads(pts []core.Point) []PointPayload {
@@ -383,139 +381,122 @@ func pointPayloads(pts []core.Point) []PointPayload {
 	return out
 }
 
-func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) error {
-	var req MeasureRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
-	key, err := sh.keyFor(tenant, req.Device, req.Grid, req.Model)
-	if err != nil {
-		return err
-	}
-	_, pts, err := sh.getModel(tenant, key)
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	return writeJSON(w, MeasureResponse{
-		Device: key.Device,
-		Model:  key.Model,
-		Points: pointPayloads(pts),
-	})
+// fitted is the job of the measure and model ops: one model resolved
+// through the tenant's cache.
+type fitted struct {
+	key    ModelKey
+	model  core.Model
+	points []core.Point
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) error {
-	var req ModelRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
+func resolveFitted(sh *shard, tenant string, req *MeasureRequest) (fitted, error) {
 	key, err := sh.keyFor(tenant, req.Device, req.Grid, req.Model)
 	if err != nil {
-		return err
+		return fitted{}, err
 	}
 	m, pts, err := sh.getModel(tenant, key)
 	if err != nil {
-		return asRequestError(err, "%v", err)
+		return fitted{}, asRequestError(err, "%v", err)
 	}
-	var eval []EvalPayload
-	for _, d := range core.LogSizes(key.Lo, key.Hi, key.N) {
-		tm, err := m.Time(float64(d))
-		if err != nil {
-			return fmt.Errorf("evaluating model at %d: %w", d, err)
-		}
-		sp, err := core.ModelSpeed(m, float64(d))
-		if err != nil {
-			return fmt.Errorf("evaluating speed at %d: %w", d, err)
-		}
-		eval = append(eval, EvalPayload{D: d, TimeS: tm, Speed: sp})
-	}
-	return writeJSON(w, ModelResponse{
-		Device: key.Device,
-		Model:  key.Model,
-		Points: pointPayloads(pts),
-		Eval:   eval,
-	})
+	return fitted{key: key, model: m, points: pts}, nil
 }
 
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) error {
-	var req PartitionRequest
-	if err := decode(w, r, &req); err != nil {
+func measured(f fitted) (MeasureResponse, error) {
+	return MeasureResponse{Device: f.key.Device, Model: f.key.Model, Points: pointPayloads(f.points)}, nil
+}
+
+// modelled tabulates the fitted model over the request grid.
+func modelled(f fitted) (ModelResponse, error) {
+	resp := ModelResponse{Device: f.key.Device, Model: f.key.Model, Points: pointPayloads(f.points)}
+	for _, d := range core.LogSizes(f.key.Lo, f.key.Hi, f.key.N) {
+		tm, err := f.model.Time(float64(d))
+		if err != nil {
+			return ModelResponse{}, fmt.Errorf("evaluating model at %d: %w", d, err)
+		}
+		sp, err := core.ModelSpeed(f.model, float64(d))
+		if err != nil {
+			return ModelResponse{}, fmt.Errorf("evaluating speed at %d: %w", d, err)
+		}
+		resp.Eval = append(resp.Eval, EvalPayload{D: d, TimeS: tm, Speed: sp})
+	}
+	return resp, nil
+}
+
+// partitionJob is a partition request resolved on its shard: the models
+// of its devices, wrapped with the comm model when it has one.
+type partitionJob struct {
+	Tenant    string     `json:"tenant"`
+	Keys      []ModelKey `json:"keys"`
+	Algorithm string     `json:"algorithm"`
+	D         int        `json:"d"`
+	Comm      string     `json:"comm"`
+	models    []core.Model
+}
+
+func checkPartition(req *PartitionRequest) error {
+	if err := checkDevices(req.Devices); err != nil {
 		return err
-	}
-	if len(req.Devices) == 0 {
-		return badRequest("at least one device is required")
-	}
-	if len(req.Devices) > MaxDevices {
-		return badRequest("%d devices exceed the limit of %d", len(req.Devices), MaxDevices)
 	}
 	if req.D <= 0 {
 		return badRequest("problem size d must be positive, got %d", req.D)
 	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "geometric"
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
+	return nil
+}
 
-	// Resolve every device's fitted model through the tenant cache. The
-	// resolution is sequential within one request — each fill occupies a
-	// pool slot only while sweeping, and cross-request parallelism keeps
-	// the pool busy — which also rules out pool starvation from nested
-	// acquisition.
-	keys := make([]ModelKey, len(req.Devices))
-	models := make([]core.Model, len(req.Devices))
+// resolvePartition resolves every device's fitted model through the
+// tenant cache. The resolution is sequential within one request — each
+// fill occupies a pool slot only while sweeping, and cross-request
+// parallelism keeps the pool busy — which also rules out pool starvation
+// from nested acquisition. The algorithm is checked last: a request
+// with a bad device and a bad algorithm reports the device.
+func resolvePartition(sh *shard, tenant string, req *PartitionRequest) (*partitionJob, error) {
+	job := &partitionJob{Tenant: tenant, Algorithm: req.Algorithm, D: req.D}
 	for i, dev := range req.Devices {
 		key, err := sh.keyFor(tenant, dev, req.Grid, req.Model)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		m, _, err := sh.getModel(tenant, key)
 		if err != nil {
-			return asRequestError(err, "device %d (%s): %v", i, dev.Preset, err)
+			return nil, asRequestError(err, "device %d (%s): %v", i, dev.Preset, err)
 		}
-		keys[i] = key
-		models[i] = m
+		job.Keys = append(job.Keys, key)
+		job.models = append(job.models, m)
 	}
-
-	models, commTag, err := sh.commWrap(req.Comm, models)
-	if err != nil {
-		return badRequest("comm: %v", err)
+	var err error
+	if job.models, job.Comm, err = sh.commWrap(req.Comm, job.models); err != nil {
+		return nil, badRequest("comm: %v", err)
 	}
+	if err := defaultAlgorithm(&job.Algorithm); err != nil {
+		return nil, err
+	}
+	return job, nil
+}
 
-	dist, err := sh.solvePartition(tenant, keys, models, algorithm, req.D, commTag)
+// distribute runs the partitioner.
+func distribute(job *partitionJob) (*PartitionResponse, error) {
+	p, _ := partition.ByName(job.Algorithm) // checked by defaultAlgorithm
+	dist, err := p.Partition(job.models, job.D)
 	if err != nil {
-		return asRequestError(err, "%v", err)
+		return nil, err
 	}
 	parts := make([]PartPayload, len(dist.Parts))
-	for i, p := range dist.Parts {
-		parts[i] = PartPayload{Device: keys[i].Device, Units: p.D, TimeS: p.Time}
+	for i, part := range dist.Parts {
+		parts[i] = PartPayload{Device: job.Keys[i].Device, Units: part.D, TimeS: part.Time}
 	}
 	imb := dist.Imbalance()
-	if math.IsInf(imb, 0) || math.IsNaN(imb) {
+	if !finite(imb) {
 		imb = -1
 	}
-	return writeJSON(w, PartitionResponse{
-		Algorithm: algorithm,
-		Model:     keys[0].Model,
-		D:         req.D,
+	return &PartitionResponse{
+		Algorithm: job.Algorithm,
+		Model:     job.Keys[0].Model,
+		D:         job.D,
 		Parts:     parts,
 		MakespanS: dist.MaxTime(),
 		Imbalance: imb,
-		Comm:      commTag,
-	})
+		Comm:      job.Comm,
+	}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {

@@ -537,8 +537,10 @@ func TestRequestValidation(t *testing.T) {
 		{"no devices", func(r *PartitionRequest) { r.Devices = nil }},
 		{"unknown preset", func(r *PartitionRequest) { r.Devices = []DeviceSpec{{Preset: "nope"}} }},
 		{"bad grid", func(r *PartitionRequest) { r.Grid = Grid{Lo: 10, Hi: 5, N: 3} }},
+		{"grid too fine", func(r *PartitionRequest) { r.Grid = Grid{Lo: 1, Hi: 1 << 40, N: MaxGridN + 1} }},
 		{"zero D", func(r *PartitionRequest) { r.D = 0 }},
 		{"negative noise", func(r *PartitionRequest) { r.Devices = []DeviceSpec{{Preset: "fast", Noise: -1}} }},
+		{"noise overflowing the times", func(r *PartitionRequest) { r.Devices = []DeviceSpec{{Preset: "fast", Noise: 1e300}} }},
 		{"unknown model", func(r *PartitionRequest) { r.Model = "nope" }},
 		{"unknown algorithm", func(r *PartitionRequest) { r.Algorithm = "nope" }},
 		{"too many devices", func(r *PartitionRequest) {

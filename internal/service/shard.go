@@ -9,6 +9,7 @@ import (
 	"fupermod/internal/model"
 	"fupermod/internal/pool"
 	"fupermod/internal/service/modelstore"
+	"fupermod/internal/transfer"
 )
 
 // shard is one replica of the serving core: the per-tenant LRU model
@@ -25,17 +26,8 @@ import (
 // shard that misses locally checks the store (through its cross-replica
 // single-flight Fill) before paying for a sweep.
 type shard struct {
-	id          int
-	cacheSize   int
-	batchWindow time.Duration
-	precision   core.Precision
-
-	// Transfer options (normalised in New); transfer is never true
-	// without a store.
-	transfer       bool
-	transferProbes int
-	transferBudget int
-	transferTol    float64
+	id int
+	options
 
 	pool  *pool.Pool
 	store *modelstore.Store
@@ -62,30 +54,38 @@ type shard struct {
 	stats shardStats
 }
 
+// options is the normalised Config a shard serves with; the Server keeps
+// its copy to build replacement shards from.
+type options struct {
+	cacheSize    int
+	batchWindow  time.Duration
+	precision    core.Precision
+	quotaSlots   int
+	quotaWeights map[string]int
+	// transfer is never true without a store; transferCfg carries the
+	// normalised Config.Transfer* knobs.
+	transfer    bool
+	transferCfg transfer.Config
+}
+
 // newShard constructs one shard against the server's shared pool and
 // store. Quotas are per-shard: a tenant lives on exactly one shard, so
 // per-shard accounting is per-tenant accounting, deterministically.
 func (s *Server) newShard(id int) *shard {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &shard{
-		id:             id,
-		cacheSize:      s.cacheSize,
-		batchWindow:    s.batchWindow,
-		precision:      s.precision,
-		transfer:       s.transfer,
-		transferProbes: s.transferProbes,
-		transferBudget: s.transferBudget,
-		transferTol:    s.transferTol,
-		pool:           s.pool,
-		store:          s.store,
-		quota:          newQuotas(s.quotaSlots, s.quotaWeights),
-		ctx:            ctx,
-		cancel:         cancel,
-		tenants:        make(map[string]*tenantCache),
-		batches:        make(map[string]*batchCall),
-		window:         adaptiveWindow{max: s.batchWindow},
-		comms:          make(map[string]*commEntry),
-		machines:       make(map[string]*tenantMachines),
+		id:       id,
+		options:  s.options,
+		pool:     s.pool,
+		store:    s.store,
+		quota:    newQuotas(s.quotaSlots, s.quotaWeights),
+		ctx:      ctx,
+		cancel:   cancel,
+		tenants:  make(map[string]*tenantCache),
+		batches:  make(map[string]*batchCall),
+		window:   adaptiveWindow{max: s.batchWindow},
+		comms:    make(map[string]*commEntry),
+		machines: make(map[string]*tenantMachines),
 	}
 }
 
@@ -116,13 +116,7 @@ func (sh *shard) preloadEntry(ent modelstore.Entry) {
 	}
 	close(e.ready)
 	sh.mu.Lock()
-	tc := sh.tenantCacheLocked(ent.Key.Tenant)
-	if old, ok := tc.entries[e.key]; ok {
-		tc.order.Remove(old.elem)
-	}
-	e.elem = tc.order.PushFront(e)
-	tc.entries[e.key] = e
-	sh.evictOverLocked(tc)
+	sh.insertLocked(sh.tenantCacheLocked(ent.Key.Tenant), e)
 	sh.mu.Unlock()
 	sh.stats.storeLoaded.Add(1)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"fupermod/internal/core"
-	"fupermod/internal/kernels"
-	"fupermod/internal/platform"
 	"fupermod/internal/pool"
 	"fupermod/internal/service/modelstore"
 	"fupermod/internal/transfer"
@@ -31,22 +29,12 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 		// An unreadable donor pool is a reason to not transfer, never a
 		// reason to fail the fill.
 		sh.stats.transferFallbacks.Add(1)
-		return sh.sweptKey(tenant, key, sizes)
+		return sh.sweepKey(tenant, key, sizes)
 	}
 
-	dev, err := sh.resolveDevice(tenant, key.Device)
+	dev, k, err := sh.kernelFor(tenant, key)
 	if err != nil {
 		return modelstore.Swept{}, err
-	}
-	meter := platform.NewMeter(dev, noiseConfig(key.Noise), key.Seed)
-	k, err := kernels.NewVirtual(dev.Name(), meter, GEMMBlockFlops)
-	if err != nil {
-		return modelstore.Swept{}, err
-	}
-	cfg := transfer.Config{
-		Probes: sh.transferProbes,
-		Budget: sh.transferBudget,
-		Tol:    sh.transferTol,
 	}
 	var res *transfer.Result
 	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
@@ -55,7 +43,7 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 			return core.Benchmark(k, d, sh.precision)
 		}
 		var aerr error
-		res, aerr = transfer.Acquire(sizes, prober, transfer.Pool(donors, 0), cfg)
+		res, aerr = transfer.Acquire(sizes, prober, transfer.Pool(donors, 0), sh.transferCfg)
 		return aerr
 	})
 	if err != nil {
@@ -63,20 +51,10 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 	}
 	if res.Fallback != "" {
 		sh.stats.transferFallbacks.Add(1)
-		return sh.sweptKey(tenant, key, sizes)
+		return sh.sweepKey(tenant, key, sizes)
 	}
 	sh.stats.transferRuns.Add(1)
 	prov := fmt.Sprintf("donor=%s scale=%.6g probes=%d/%d maxdiff=%.3g",
 		res.Donor, res.Scale, res.Measured, len(sizes), res.MaxDisagree)
-	return modelstore.Swept{Kernel: dev.Name(), Points: res.Points, Transfer: prov}, nil
-}
-
-// sweptKey adapts sweepKey's result to the provenance-carrying Swept the
-// store fill consumes (full sweeps carry none).
-func (sh *shard) sweptKey(tenant string, key ModelKey, sizes []int) (modelstore.Swept, error) {
-	kernel, pts, err := sh.sweepKey(tenant, key, sizes)
-	if err != nil {
-		return modelstore.Swept{}, err
-	}
-	return modelstore.Swept{Kernel: kernel, Points: pts}, nil
+	return finitePoints(modelstore.Swept{Kernel: dev.Name(), Points: res.Points, Transfer: prov})
 }
