@@ -20,9 +20,10 @@ import (
 // the bars of the paper's figure — collapse from a wide spread to a
 // balanced band within a few iterations.
 func Fig4() (*trace.Table, error) {
+	const rows = 20000
 	devs := platform.JacobiCluster()
 	res, err := apps.RunJacobi(apps.JacobiConfig{
-		N:          20000,
+		N:          rows,
 		Iterations: 9, // the paper's figure spans 9 iterations
 		Devices:    devs,
 		Net:        comm.GigabitEthernet,
@@ -37,14 +38,21 @@ func Fig4() (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return JacobiTable(devs, res, rows), nil
+}
+
+// JacobiTable tabulates a Jacobi run of n rows over devs: one row per
+// iteration with each process's compute time, the slowest time and the
+// max/min imbalance. Fig4 and fupermod-sim jacobi both print it.
+func JacobiTable(devs []platform.Device, res *apps.JacobiResult, n int) *trace.Table {
 	cols := []string{"iter"}
 	for _, dev := range devs {
 		cols = append(cols, dev.Name()+" s")
 	}
 	cols = append(cols, "max s", "imbalance")
 	t := trace.NewTable("dynamic load balancing of the Jacobi method", cols...)
-	t.Note = fmt.Sprintf("N=20000 rows over %d heterogeneous processes; %d redistributions; makespan %.3gs",
-		len(devs), res.Redistributions, res.Makespan)
+	t.Note = fmt.Sprintf("N=%d rows over %d heterogeneous processes; %d redistributions; makespan %.3gs",
+		n, len(devs), res.Redistributions, res.Makespan)
 	for k, times := range res.IterTimes {
 		row := make([]any, 0, len(cols))
 		row = append(row, k+1)
@@ -65,5 +73,5 @@ func Fig4() (*trace.Table, error) {
 		row = append(row, maxT, imb)
 		t.AddRow(row...)
 	}
-	return t, nil
+	return t
 }

@@ -178,7 +178,7 @@ func sortRectsByY(rs []Rect) {
 // Render draws the arrangement as an ASCII grid, one character per block
 // (process 0 = 'A', 1 = 'B', …, wrapping after 52), at most maxSide
 // characters per side (larger grids are downsampled by block sampling).
-// It is how fupermod-matmul -layout visualises the Beaumont arrangement
+// It is how fupermod-sim matmul -layout visualises the Beaumont arrangement
 // of the paper's Fig. 1.
 func Render(rects []BlockRect, n, maxSide int) (string, error) {
 	if err := CheckTiling(rects, n); err != nil {
